@@ -16,6 +16,9 @@ cargo build --release --workspace
 echo "== test =="
 cargo test --workspace --release -q
 
+echo "== benchmark unit tests (golden pins, compare verdicts) =="
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "== repro smoke (scale test, parallel == serial bytes) =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -23,6 +26,13 @@ mkdir -p "$tmp/serial" "$tmp/par"
 (cd "$tmp/serial" && "$OLDPWD/target/release/repro_all" --scale test --jobs 1 >stdout.txt)
 (cd "$tmp/par" && "$OLDPWD/target/release/repro_all" --scale test --jobs 4 >stdout.txt)
 diff -r "$tmp/serial/results" "$tmp/par/results"
+
+echo "== benchmark repro smoke (all 13 experiment tables hashed against benchmark/golden/) =="
+# Exits nonzero on any table-hash drift, so a change to the paper's numbers
+# cannot pass CI unnoticed.
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml --bin benchmark -- \
+    --workload repro --smoke >"$tmp/bench_repro.txt"
+grep -q '"correct": true' "$tmp/bench_repro.txt"
 
 echo "== perf bench (scale test) + BENCH json schema =="
 (cd "$tmp" && "$OLDPWD/target/release/perf" --scale test >perf_stdout.txt)

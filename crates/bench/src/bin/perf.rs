@@ -35,7 +35,7 @@
 //!    each kernel's training profile on a single-core host, more when the
 //!    shards actually run in parallel;
 //! 6. **shared translation cache**: a 4-guest fleet of identical vCPUs on
-//!    a chain-heavy kernel, private caches vs one shared cache. Asserts
+//!    a chain-heavy kernel, one cache per engine vs one shared cache. Asserts
 //!    byte-identical reports, ≥50% fleet translation-work reduction, and
 //!    that the chained next-TB hint resolves ≥50% of TB-lookup demand;
 //!    on a multi-core host the one-thread-per-vCPU fleet must also beat
@@ -585,7 +585,7 @@ struct SharedCacheNumbers {
 }
 
 /// A fleet of identical vCPUs on the chain-heavy `misaligned_stack`
-/// kernel (DPEH defaults): private caches vs one shared cache, with the
+/// kernel (DPEH defaults): one cache per engine vs one shared cache, with the
 /// registry's `dbt.blocks_translated` counting actual translator work on
 /// each side. Asserts byte-identical per-guest reports, the ≥50% hint
 /// and translation-reduction floors, and (given ≥2 cores) the ≥1.5x

@@ -1,5 +1,5 @@
-//! The code cache: translated-block storage, the block table, exception
-//! stubs, block chaining and invalidation.
+//! The per-engine code cache: the installed-block table, exception stubs,
+//! block chaining and invalidation.
 //!
 //! Layout within the host address space (see [`crate::regmap`]):
 //!
@@ -9,6 +9,16 @@
 //!                   └───────────────────────┴──────────────────────┘
 //!                        code region             stub region
 //! ```
+//!
+//! Every engine owns exactly one translation cache, a
+//! [`SharedCodeCache`](crate::SharedCodeCache) — shared with a fleet when
+//! one supplies it, otherwise created for the engine alone. That cache
+//! allocates the code region and evicts least-recently-used blocks when
+//! it fills; this module only records which blocks are installed where.
+//! The stub region is the engine's own: [`CodeCache::alloc_stub`] bumps
+//! through it, and when it is exhausted the engine flushes the whole
+//! cache (the Dynamo policy the paper contrasts its block-granularity
+//! invalidation with).
 //!
 //! Stubs live in their own region at the tail — deliberately far from the
 //! blocks that branch to them, reproducing the code-locality cost the paper
@@ -64,8 +74,6 @@ impl Block {
     /// Builds the installed-block record for a translation product whose
     /// words were written at `host_addr`. `exit_original_words` are the
     /// original first words of each exit stub (restored when unchaining).
-    /// Shared between the private install path and shared-cache installs,
-    /// which reuse another engine's product at the same address.
     pub fn from_tb(tb: &TranslatedBlock, host_addr: u64, exit_original_words: Vec<u32>) -> Block {
         assert_eq!(tb.exits.len(), exit_original_words.len());
         let exit_slots = tb
@@ -95,49 +103,36 @@ impl Block {
     }
 }
 
-/// Why an allocation failed.
+/// The stub region is exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheFull {
-    /// The block region is exhausted.
-    Code,
-    /// The stub region is exhausted.
-    Stubs,
-}
+pub struct CacheFull;
 
 impl std::fmt::Display for CacheFull {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CacheFull::Code => write!(f, "code region full"),
-            CacheFull::Stubs => write!(f, "stub region full"),
-        }
+        write!(f, "stub region full")
     }
 }
 
 impl std::error::Error for CacheFull {}
 
-/// The code cache and block table.
+/// The block table and stub region.
 #[derive(Debug)]
 pub struct CodeCache {
-    code_base: u64,
-    code_limit: u64,
-    code_next: u64,
     stub_base: u64,
     stub_limit: u64,
     stub_next: u64,
     blocks: HashMap<u32, Block>,
     /// guest target → chain slots waiting for that target to be translated.
     pending_chains: HashMap<u32, Vec<(u32, usize)>>, // (source block pc, slot index)
-    /// Number of whole-cache flushes performed.
+    /// Number of whole-cache flushes performed (stub-region exhaustion).
     pub flush_count: u64,
 }
 
 impl CodeCache {
-    /// Creates a cache at `base` with the given region sizes.
+    /// Creates a cache at `base` with the given region sizes; the stub
+    /// region starts `code_bytes` past `base`.
     pub fn new(base: u64, code_bytes: u64, stub_bytes: u64) -> CodeCache {
         CodeCache {
-            code_base: base,
-            code_limit: base + code_bytes,
-            code_next: base,
             stub_base: base + code_bytes,
             stub_limit: base + code_bytes + stub_bytes,
             stub_next: base + code_bytes,
@@ -152,20 +147,9 @@ impl CodeCache {
         self.blocks.len()
     }
 
-    /// Bytes of code currently allocated.
-    pub fn code_bytes_used(&self) -> u64 {
-        self.code_next - self.code_base
-    }
-
     /// Bytes of stubs currently allocated.
     pub fn stub_bytes_used(&self) -> u64 {
         self.stub_next - self.stub_base
-    }
-
-    /// The address the next [`CodeCache::alloc_block`] will return (blocks
-    /// are translated against this base before allocation).
-    pub fn next_code_addr(&self) -> u64 {
-        self.code_next
     }
 
     /// Looks up the installed block for a guest PC.
@@ -178,39 +162,18 @@ impl CodeCache {
         self.blocks.get_mut(&guest_pc)
     }
 
-    /// Finds the block containing a host address (used to attribute traps).
-    pub fn block_at_host(&self, host_addr: u64) -> Option<&Block> {
-        self.blocks.values().find(|b| {
-            host_addr >= b.host_addr && host_addr < b.host_addr + 4 * u64::from(b.words_len)
-        })
-    }
-
-    /// Reserves space for a block of `words` length.
+    /// Reserves space for an exception stub of `words` length. (Block
+    /// space comes from the engine's [`SharedCodeCache`](crate::SharedCodeCache),
+    /// which evicts LRU blocks rather than failing.)
     ///
     /// # Errors
     ///
-    /// [`CacheFull::Code`] when the region is exhausted; the engine then
-    /// flushes the whole cache (the Dynamo policy the paper contrasts its
-    /// block-granularity invalidation with).
-    pub fn alloc_block(&mut self, words: usize) -> Result<u64, CacheFull> {
-        let bytes = 4 * words as u64;
-        if self.code_next + bytes > self.code_limit {
-            return Err(CacheFull::Code);
-        }
-        let addr = self.code_next;
-        self.code_next += bytes;
-        Ok(addr)
-    }
-
-    /// Reserves space for an exception stub of `words` length.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheFull::Stubs`] when the stub region is exhausted.
+    /// [`CacheFull`] when the stub region is exhausted; the engine then
+    /// flushes the whole cache.
     pub fn alloc_stub(&mut self, words: usize) -> Result<u64, CacheFull> {
         let bytes = 4 * words as u64;
         if self.stub_next + bytes > self.stub_limit {
-            return Err(CacheFull::Stubs);
+            return Err(CacheFull);
         }
         let addr = self.stub_next;
         self.stub_next += bytes;
@@ -218,8 +181,8 @@ impl CodeCache {
     }
 
     /// Installs a translated block whose words were written at `host_addr`
-    /// (previously obtained from [`CodeCache::alloc_block`]). `exit_words`
-    /// are the original first words of each exit stub (for unchaining).
+    /// (allocated by the engine's shared cache). `exit_original_words` are
+    /// the original first words of each exit stub (for unchaining).
     pub fn install(&mut self, tb: &TranslatedBlock, host_addr: u64, exit_original_words: Vec<u32>) {
         self.blocks.insert(
             tb.guest_pc,
@@ -265,11 +228,11 @@ impl CodeCache {
         out
     }
 
-    /// Empties the cache entirely (Dynamo-style flush on exhaustion).
+    /// Empties the block table and stub region (Dynamo-style flush on
+    /// stub exhaustion).
     pub fn flush(&mut self) {
         self.blocks.clear();
         self.pending_chains.clear();
-        self.code_next = self.code_base;
         self.stub_next = self.stub_base;
         self.flush_count += 1;
     }
@@ -299,17 +262,17 @@ mod tests {
         }
     }
 
+    const BASE: u64 = 0x1_0000_0000;
+
     #[test]
-    fn alloc_and_install() {
-        let mut cc = CodeCache::new(0x1_0000_0000, 4096, 1024);
+    fn install_records_the_block() {
+        let mut cc = CodeCache::new(BASE, 4096, 1024);
         let tb = dummy_tb(0x400000, 8, vec![]);
-        let addr = cc.alloc_block(tb.words.len()).unwrap();
-        assert_eq!(addr, 0x1_0000_0000);
-        cc.install(&tb, addr, vec![]);
+        cc.install(&tb, BASE, vec![]);
         assert_eq!(cc.block_count(), 1);
         let b = cc.block(0x400000).unwrap();
-        assert_eq!(b.host_addr, addr);
-        assert_eq!(cc.code_bytes_used(), 32);
+        assert_eq!(b.host_addr, BASE);
+        assert_eq!(b.words_len, 8);
         // Site lookup by host address.
         assert_eq!(
             b.site_at_host.get(&0x1_0000_0010),
@@ -318,25 +281,21 @@ mod tests {
     }
 
     #[test]
-    fn code_region_exhaustion() {
-        let mut cc = CodeCache::new(0x1_0000_0000, 64, 64);
-        assert!(cc.alloc_block(16).is_ok());
-        assert_eq!(cc.alloc_block(1), Err(CacheFull::Code));
+    fn stub_region_exhaustion() {
+        let mut cc = CodeCache::new(BASE, 64, 64);
         assert!(cc.alloc_stub(16).is_ok());
-        assert_eq!(cc.alloc_stub(1), Err(CacheFull::Stubs));
+        assert_eq!(cc.alloc_stub(1), Err(CacheFull));
     }
 
     #[test]
-    fn stubs_are_far_from_code() {
-        let mut cc = CodeCache::new(0x1_0000_0000, 1 << 20, 1 << 20);
-        let block = cc.alloc_block(16).unwrap();
-        let stub = cc.alloc_stub(16).unwrap();
-        assert!(stub - block >= (1 << 20) - 64);
+    fn stubs_live_past_the_code_region() {
+        let mut cc = CodeCache::new(BASE, 1 << 20, 1 << 20);
+        assert_eq!(cc.alloc_stub(16).unwrap(), BASE + (1 << 20));
     }
 
     #[test]
     fn pending_chains_roundtrip() {
-        let mut cc = CodeCache::new(0x1_0000_0000, 4096, 1024);
+        let mut cc = CodeCache::new(BASE, 4096, 1024);
         cc.add_pending_chain(0x400000, 0, 0x400100);
         cc.add_pending_chain(0x400050, 1, 0x400100);
         let slots = cc.take_pending_chains(0x400100);
@@ -346,10 +305,9 @@ mod tests {
 
     #[test]
     fn remove_block_drops_its_pending_registrations() {
-        let mut cc = CodeCache::new(0x1_0000_0000, 4096, 1024);
+        let mut cc = CodeCache::new(BASE, 4096, 1024);
         let tb = dummy_tb(0x400000, 4, vec![]);
-        let addr = cc.alloc_block(4).unwrap();
-        cc.install(&tb, addr, vec![]);
+        cc.install(&tb, BASE, vec![]);
         cc.add_pending_chain(0x400000, 0, 0x400100);
         let removed = cc.remove_block(0x400000).unwrap();
         assert_eq!(removed.guest_pc, 0x400000);
@@ -358,14 +316,13 @@ mod tests {
 
     #[test]
     fn chained_into_finds_sources() {
-        let mut cc = CodeCache::new(0x1_0000_0000, 4096, 1024);
+        let mut cc = CodeCache::new(BASE, 4096, 1024);
         let exits = vec![ExitStub {
             host_addr: 0x1_0000_0020,
             target: 0x400100,
         }];
         let tb = dummy_tb(0x400000, 16, exits);
-        let addr = cc.alloc_block(16).unwrap();
-        cc.install(&tb, addr, vec![0xDEAD_BEEF]);
+        cc.install(&tb, BASE, vec![0xDEAD_BEEF]);
         assert!(cc.chained_into(0x400100).is_empty());
         cc.block_mut(0x400000).unwrap().exit_slots[0].chained = true;
         assert_eq!(cc.chained_into(0x400100), vec![(0x400000, 0)]);
@@ -373,26 +330,13 @@ mod tests {
 
     #[test]
     fn flush_resets_everything() {
-        let mut cc = CodeCache::new(0x1_0000_0000, 4096, 1024);
+        let mut cc = CodeCache::new(BASE, 4096, 1024);
         let tb = dummy_tb(0x400000, 8, vec![]);
-        let addr = cc.alloc_block(8).unwrap();
-        cc.install(&tb, addr, vec![]);
+        cc.install(&tb, BASE, vec![]);
         cc.alloc_stub(4).unwrap();
         cc.flush();
         assert_eq!(cc.block_count(), 0);
-        assert_eq!(cc.code_bytes_used(), 0);
         assert_eq!(cc.stub_bytes_used(), 0);
         assert_eq!(cc.flush_count, 1);
-    }
-
-    #[test]
-    fn block_at_host_attribution() {
-        let mut cc = CodeCache::new(0x1_0000_0000, 4096, 1024);
-        let tb = dummy_tb(0x400000, 8, vec![]);
-        let addr = cc.alloc_block(8).unwrap();
-        cc.install(&tb, addr, vec![]);
-        assert!(cc.block_at_host(addr).is_some());
-        assert!(cc.block_at_host(addr + 28).is_some());
-        assert!(cc.block_at_host(addr + 32).is_none());
     }
 }

@@ -171,16 +171,19 @@ pub struct DbtConfig {
     /// `Arc` lets a multi-guest service aggregate every engine into one
     /// registry.
     pub metrics: Option<Arc<Registry>>,
-    /// Fleet-shared translation cache ([`SharedCodeCache`]): `Some`
-    /// makes this engine one vCPU executor over a shared read-mostly
-    /// translation cache — installs are served from fleet entries when a
-    /// valid one exists (translation happens once per variant fleet-wide)
-    /// and guest-code patches publish to every attached engine. The
-    /// engine still pays the full *simulated* translation charge on every
-    /// install, so results are byte-identical to a private-cache run; the
-    /// saving is host-side translation work. The cache's capacity must
-    /// not exceed [`DbtConfig::code_bytes`]. `None` (the default) keeps
-    /// the cache fully private.
+    /// The translation cache to use. Every engine has exactly one
+    /// [`SharedCodeCache`], shared or alone: `Some` makes this engine one
+    /// vCPU executor over a fleet's cache — installs are served from
+    /// fleet entries when a valid one exists (translation happens once per
+    /// variant fleet-wide) and guest-code patches publish to every
+    /// attached engine. `None` (the default) means the engine creates its
+    /// own cache of [`DbtConfig::code_bytes`]. Either way the engine pays
+    /// the full *simulated* translation charge on every install, so
+    /// results are byte-identical; sharing saves host-side translation
+    /// work only. The code region evicts least-recently-used blocks when
+    /// it fills; the stub region ([`DbtConfig::stub_bytes`]) flushes the
+    /// whole cache. A supplied cache's capacity must not exceed
+    /// [`DbtConfig::code_bytes`].
     pub shared_cache: Option<Arc<SharedCodeCache>>,
     /// Translate every statically reachable block before execution starts,
     /// as FX!32's offline translator did (Figure 3's pre-execution phase).
@@ -356,7 +359,10 @@ mod tests {
         assert!(c.spans.is_none(), "span recording is opt-in");
         assert!(c.watch.is_none(), "re-divergence watch is opt-in");
         assert!(c.metrics.is_none(), "metrics are opt-in");
-        assert!(c.shared_cache.is_none(), "shared cache is opt-in");
+        assert!(
+            c.shared_cache.is_none(),
+            "no cache supplied: the engine creates its own"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::codecache::{Block, CodeCache};
 use crate::config::{DbtConfig, MdaStrategy};
 use crate::exception::{self, HandlerError};
 use crate::interp::{self, InterpError};
-use crate::profile::{Profile, SiteId, StaticProfile};
+use crate::profile::{Profile, SiteId};
 use crate::regmap::{
     host_gpr, ibtc_slot_addr, ibtc_tag, CODE_CACHE_ADDR, DISPATCH_BASE_ADDR, DISPATCH_BASE_REG,
     EXIT_PC_REG, FLAG_A, FLAG_B, FLAG_KIND_ADD, FLAG_KIND_DIRECT, FLAG_KIND_LOGIC, FLAG_KIND_REG,
@@ -143,8 +143,8 @@ struct EngineMetrics {
     os_fixups: Arc<Counter>,
     patches: Arc<Counter>,
     flushes: Arc<Counter>,
-    /// Actual translations performed by this engine. With a shared cache
-    /// attached, installs served from the cache do NOT count here, so the
+    /// Actual translations performed by this engine. Installs served from
+    /// another engine's cache entries do NOT count here, so the
     /// fleet-wide value measures real translation work (the reduction the
     /// perf harness asserts on); [`RunReport::blocks_translated`] keeps
     /// counting every install.
@@ -228,9 +228,11 @@ pub struct Dbt {
     watch: Option<SiteWatch>,
     /// Counter handles into [`DbtConfig::metrics`], when attached.
     metrics: Option<EngineMetrics>,
-    /// The fleet-shared translation cache, when attached
-    /// ([`DbtConfig::shared_cache`]); `None` runs fully private.
-    shared: Option<Arc<SharedCodeCache>>,
+    /// The engine's translation cache: the fleet's when one supplied it
+    /// ([`DbtConfig::shared_cache`]), otherwise one created for this
+    /// engine alone. It allocates the code region and evicts LRU blocks
+    /// when it fills.
+    shared: Arc<SharedCodeCache>,
     /// Shared entries this engine has installed locally, for the stale
     /// sweep at each coherence sync.
     shared_installs: HashMap<u32, Arc<SharedBlock>>,
@@ -272,14 +274,15 @@ impl Dbt {
         };
         let watch = cfg.watch.map(SiteWatch::new);
         let metrics = cfg.metrics.as_deref().map(EngineMetrics::new);
-        let shared = cfg.shared_cache.clone();
-        if let Some(sh) = &shared {
-            assert!(
-                sh.capacity() <= cfg.code_bytes,
-                "shared cache capacity exceeds the engine's code region \
-                 (shared allocations would overlap the stub region)"
-            );
-        }
+        let shared = match &cfg.shared_cache {
+            Some(sh) => Arc::clone(sh),
+            None => SharedCodeCache::new(cfg.code_bytes),
+        };
+        assert!(
+            shared.capacity() <= cfg.code_bytes,
+            "shared cache capacity exceeds the engine's code region \
+             (shared allocations would overlap the stub region)"
+        );
         Dbt {
             cfg,
             machine,
@@ -348,20 +351,15 @@ impl Dbt {
     /// cache drops the range. The next execution of the region re-decodes
     /// the new bytes.
     ///
-    /// With a shared cache attached, the patch is additionally published
-    /// fleet-wide: overlapping shared entries are invalidated and every
-    /// other executor applies the same byte rewrite to its own guest
+    /// The patch is published through the engine's translation cache:
+    /// overlapping entries are invalidated there, and every other engine
+    /// sharing the cache applies the same byte rewrite to its own guest
     /// memory at its next dispatch (see [`SharedCodeCache`]).
     pub fn write_guest_code(&mut self, addr: u32, bytes: &[u8]) {
-        if let Some(sh) = &self.shared {
-            let sh = Arc::clone(sh);
-            sh.write_guest_code(addr, bytes);
-            // The sync applies our own patch (and any earlier unseen
-            // ones) locally, in publish order.
-            self.sync_shared();
-        } else {
-            self.apply_guest_code(addr, bytes);
-        }
+        self.shared.write_guest_code(addr, bytes);
+        // The sync applies our own patch (and any earlier unseen ones)
+        // locally, in publish order.
+        self.sync_shared();
     }
 
     /// The local half of a guest-code rewrite: invalidate overlapping
@@ -623,8 +621,8 @@ impl Dbt {
         let mut pc = self.state.eip;
 
         loop {
-            // Shared-cache coherence point: a single atomic load and
-            // compare unless another executor evicted or patched.
+            // Translation-cache coherence point: a single atomic load and
+            // compare unless an eviction or patch happened.
             self.sync_shared();
             // Next-TB hint first — a hit skips the block-table lookup
             // entirely (same simulated cost; the saving is host work).
@@ -726,7 +724,7 @@ impl Dbt {
     ///
     /// # Errors
     ///
-    /// Propagates code-cache exhaustion that survives a flush.
+    /// Fails only for a block larger than the whole code region.
     pub fn pretranslate(&mut self) -> Result<usize, DbtError> {
         let discovery = crate::cfg::discover_blocks(
             self.machine.mem(),
@@ -1188,7 +1186,8 @@ impl Dbt {
         }
     }
 
-    /// Empties the code cache entirely (allocation pressure).
+    /// Empties this engine's block table and stub region (stub-region
+    /// exhaustion; a full code region evicts LRU blocks instead).
     fn flush_cache(&mut self) {
         let blocks = self.cache.block_count() as u64;
         self.cache.flush();
@@ -1216,108 +1215,32 @@ impl Dbt {
         retrans_count: u32,
     ) -> Result<bool, DbtError> {
         let span = self.span_start(SpanKind::Translate, Some(block_pc));
-        let installed = if self.shared.is_some() {
-            self.translate_and_install_shared(block_pc, retrans_count)
-        } else {
-            self.translate_and_install_private(block_pc, retrans_count)
-        };
+        let installed = self.translate_or_reuse(block_pc, retrans_count);
         self.span_end(span);
         installed
     }
 
-    /// The private-cache install path (the original single-engine one).
-    fn translate_and_install_private(
-        &mut self,
-        block_pc: u32,
-        retrans_count: u32,
-    ) -> Result<bool, DbtError> {
-        for _attempt in 0..2 {
-            let base = self.cache.next_code_addr();
-            let tb = {
-                let strategy = self.cfg.strategy;
-                let multiversion = self.cfg.multiversion;
-                let mv_min = self.cfg.multiversion_min_samples;
-                let adaptive = self
-                    .cfg
-                    .adaptive_reversion
-                    .then_some(self.cfg.reversion_threshold);
-                let profile = &self.profile;
-                let static_profile = self.cfg.static_profile.as_deref();
-                let forced_seq = &self.forced_sequence;
-                let forced_normal = &self.forced_normal;
-                let mut plan = move |site: SiteId, acc: SiteAccess| -> SitePlan {
-                    decide_plan(
-                        strategy,
-                        multiversion,
-                        mv_min,
-                        adaptive,
-                        profile,
-                        static_profile,
-                        forced_seq,
-                        forced_normal,
-                        site,
-                        acc,
-                    )
-                };
-                translator::translate_block(
-                    self.machine.mem(),
-                    block_pc,
-                    base,
-                    self.cfg.max_block_insns,
-                    &mut plan,
-                    self.dispatch_opts(),
-                )
-            };
-            let tb = match tb {
-                Ok(tb) => tb,
-                Err(_) => {
-                    self.interp_only.insert(block_pc);
-                    return Ok(false);
-                }
-            };
-            match self.cache.alloc_block(tb.words.len()) {
-                Ok(addr) => {
-                    debug_assert_eq!(addr, base);
-                    self.install_block(&tb, addr, retrans_count);
-                    if let Some(m) = &self.metrics {
-                        m.translations.inc();
-                    }
-                    return Ok(true);
-                }
-                Err(_) => {
-                    self.flush_cache();
-                    // retry once with a clean cache
-                }
-            }
-        }
-        Err(DbtError::Internal("block larger than the code region"))
-    }
-
-    /// The shared-cache install path: validate-and-reuse a fleet entry
-    /// when one exists, otherwise translate once under the fleet-wide
-    /// translate lock and publish the product. Either way the engine pays
-    /// the full simulated translation charge in [`Dbt::install_block`] —
-    /// only *host* translation work is elided, so shared-cache runs stay
-    /// byte-identical to private ones.
-    fn translate_and_install_shared(
-        &mut self,
-        block_pc: u32,
-        retrans_count: u32,
-    ) -> Result<bool, DbtError> {
-        let sh = Arc::clone(self.shared.as_ref().expect("shared mode"));
+    /// Validate-and-reuse a cache entry when one exists, otherwise
+    /// translate once under the cache's translate lock and publish the
+    /// product. Either way the engine pays the full simulated translation
+    /// charge in [`Dbt::install_block`] — only *host* translation work is
+    /// elided, so an engine reusing another's products reports exactly
+    /// what it would have reported translating them itself.
+    fn translate_or_reuse(&mut self, block_pc: u32, retrans_count: u32) -> Result<bool, DbtError> {
+        let sh = Arc::clone(&self.shared);
         // Bring local bookkeeping current before touching shared space:
         // another executor's evictions may have reclaimed addresses our
         // stale local installs still occupy.
         self.sync_shared();
         let variant = self.install_counts.get(&block_pc).copied().unwrap_or(0);
-        if let Some(e) = self.shared_lookup(&sh, block_pc, variant) {
+        if let Some(e) = self.shared_lookup(block_pc, variant) {
             self.install_shared(&e, retrans_count, true);
             return Ok(true);
         }
-        // Miss: translate under the fleet lock, double-checking first so
+        // Miss: translate under the cache lock, double-checking first so
         // racing executors never translate the same variant twice.
         let guard = sh.translate_lock();
-        if let Some(e) = self.shared_lookup(&sh, block_pc, variant) {
+        if let Some(e) = self.shared_lookup(block_pc, variant) {
             drop(guard);
             self.install_shared(&e, retrans_count, true);
             return Ok(true);
@@ -1327,13 +1250,8 @@ impl Dbt {
             self.interp_only.insert(block_pc);
             return Ok(false);
         };
-        let alloc = match sh.alloc(tb.words.len()) {
-            Some(a) => a,
-            None => {
-                return Err(DbtError::Internal(
-                    "block larger than the shared code region",
-                ))
-            }
+        let Some(alloc) = sh.alloc(tb.words.len()) else {
+            return Err(DbtError::Internal("block larger than the code region"));
         };
         for &pc in &alloc.evicted {
             if let Some(m) = &self.metrics {
@@ -1394,8 +1312,8 @@ impl Dbt {
         self.shared_installs
             .insert(entry.tb.guest_pc, Arc::clone(entry));
         *self.install_counts.entry(entry.tb.guest_pc).or_insert(0) += 1;
-        if let (Some(m), Some(sh)) = (&self.metrics, &self.shared) {
-            m.cc_bytes.set(sh.stats().bytes_used as i64);
+        if let Some(m) = &self.metrics {
+            m.cc_bytes.set(self.shared.stats().bytes_used as i64);
         }
     }
 
@@ -1404,35 +1322,13 @@ impl Dbt {
     /// key other executors re-check before reusing the product. `None`
     /// when the block is untranslatable.
     fn translate_recording(
-        &mut self,
+        &self,
         block_pc: u32,
         base: u64,
     ) -> Option<(TranslatedBlock, PlanVector)> {
-        let strategy = self.cfg.strategy;
-        let multiversion = self.cfg.multiversion;
-        let mv_min = self.cfg.multiversion_min_samples;
-        let adaptive = self
-            .cfg
-            .adaptive_reversion
-            .then_some(self.cfg.reversion_threshold);
-        let profile = &self.profile;
-        let static_profile = self.cfg.static_profile.as_deref();
-        let forced_seq = &self.forced_sequence;
-        let forced_normal = &self.forced_normal;
         let mut plans: PlanVector = Vec::new();
         let mut plan = |site: SiteId, acc: SiteAccess| -> SitePlan {
-            let p = decide_plan(
-                strategy,
-                multiversion,
-                mv_min,
-                adaptive,
-                profile,
-                static_profile,
-                forced_seq,
-                forced_normal,
-                site,
-                acc,
-            );
+            let p = self.plan(site, acc);
             plans.push((site, acc, p));
             p
         };
@@ -1448,40 +1344,71 @@ impl Dbt {
         Some((tb, plans))
     }
 
-    /// Shared-cache lookup with this engine's current plan function as
-    /// the validator (see [`SharedCodeCache::lookup`]).
-    fn shared_lookup(
-        &self,
-        sh: &SharedCodeCache,
-        block_pc: u32,
-        variant: u32,
-    ) -> Option<Arc<SharedBlock>> {
+    /// Cache lookup with this engine's current plan function as the
+    /// validator (see [`SharedCodeCache::lookup`]).
+    fn shared_lookup(&self, block_pc: u32, variant: u32) -> Option<Arc<SharedBlock>> {
+        let mut plan = |site: SiteId, acc: SiteAccess| self.plan(site, acc);
+        self.shared
+            .lookup(block_pc, variant, self.dispatch_opts(), &mut plan)
+    }
+
+    /// The per-site translation decision for each strategy (the table in
+    /// the crate docs). With [`DbtConfig::adaptive_reversion`] on, DPEH
+    /// upgrades would-be sequences to Figure 8 adaptive code.
+    fn plan(&self, site: SiteId, acc: SiteAccess) -> SitePlan {
+        if acc.width == Width::W1 {
+            return SitePlan::Normal; // bytes cannot misalign
+        }
         let strategy = self.cfg.strategy;
-        let multiversion = self.cfg.multiversion;
-        let mv_min = self.cfg.multiversion_min_samples;
-        let adaptive = self
-            .cfg
-            .adaptive_reversion
-            .then_some(self.cfg.reversion_threshold);
-        let profile = &self.profile;
-        let static_profile = self.cfg.static_profile.as_deref();
-        let forced_seq = &self.forced_sequence;
-        let forced_normal = &self.forced_normal;
-        let mut plan = |site: SiteId, acc: SiteAccess| -> SitePlan {
-            decide_plan(
-                strategy,
-                multiversion,
-                mv_min,
-                adaptive,
-                profile,
-                static_profile,
-                forced_seq,
-                forced_normal,
-                site,
-                acc,
-            )
+        let sequence = || {
+            if self.cfg.adaptive_reversion && strategy == MdaStrategy::Dpeh {
+                SitePlan::Adaptive {
+                    threshold: self.cfg.reversion_threshold,
+                }
+            } else {
+                SitePlan::Sequence
+            }
         };
-        sh.lookup(block_pc, variant, self.dispatch_opts(), &mut plan)
+        if self.forced_sequence.contains(&site) {
+            return sequence();
+        }
+        if self.forced_normal.contains(&site) {
+            return SitePlan::Normal;
+        }
+        match strategy {
+            MdaStrategy::Direct => SitePlan::Sequence,
+            MdaStrategy::StaticProfiling => {
+                if self
+                    .cfg
+                    .static_profile
+                    .as_ref()
+                    .is_some_and(|p| p.contains(site))
+                {
+                    SitePlan::Sequence
+                } else {
+                    SitePlan::Normal
+                }
+            }
+            MdaStrategy::DynamicProfiling => {
+                if self.profile.saw_mda(site) {
+                    SitePlan::Sequence
+                } else {
+                    SitePlan::Normal
+                }
+            }
+            MdaStrategy::ExceptionHandling => SitePlan::Normal,
+            MdaStrategy::Dpeh => {
+                let s = self.profile.site(site);
+                let mv_min = self.cfg.multiversion_min_samples;
+                if s.mdas == 0 {
+                    SitePlan::Normal
+                } else if self.cfg.multiversion && s.mdas >= mv_min && s.execs - s.mdas >= mv_min {
+                    SitePlan::MultiVersion
+                } else {
+                    sequence()
+                }
+            }
+        }
     }
 
     /// Brings per-CPU state current with the shared cache: applies guest
@@ -1489,16 +1416,12 @@ impl Dbt {
     /// whose shared entry was evicted or invalidated. The fast path —
     /// generation unchanged — is one atomic load and a compare; no lock.
     fn sync_shared(&mut self) {
-        let Some(sh) = &self.shared else {
-            return;
-        };
-        let gen = sh.generation();
+        let gen = self.shared.generation();
         if gen == self.seen_shared_gen {
             return;
         }
-        let sh = Arc::clone(sh);
         self.seen_shared_gen = gen;
-        let (patches, seen) = sh.patches_since(self.seen_patch_seq);
+        let (patches, seen) = self.shared.patches_since(self.seen_patch_seq);
         self.seen_patch_seq = seen;
         for p in patches {
             self.apply_guest_code(p.addr, &p.bytes);
@@ -1667,65 +1590,6 @@ enum MachineOutcome {
     Halted(u32),
 }
 
-/// The per-site translation decision for each strategy (the table in the
-/// crate docs). `adaptive` carries the Figure 8 reversion threshold when
-/// that option is on; it upgrades would-be sequences to adaptive code.
-#[allow(clippy::too_many_arguments)]
-fn decide_plan(
-    strategy: MdaStrategy,
-    multiversion: bool,
-    mv_min: u64,
-    adaptive: Option<u8>,
-    profile: &Profile,
-    static_profile: Option<&StaticProfile>,
-    forced_seq: &HashSet<SiteId>,
-    forced_normal: &HashSet<SiteId>,
-    site: SiteId,
-    acc: SiteAccess,
-) -> SitePlan {
-    if acc.width == Width::W1 {
-        return SitePlan::Normal; // bytes cannot misalign
-    }
-    let sequence = || match adaptive {
-        Some(threshold) if strategy == MdaStrategy::Dpeh => SitePlan::Adaptive { threshold },
-        _ => SitePlan::Sequence,
-    };
-    if forced_seq.contains(&site) {
-        return sequence();
-    }
-    if forced_normal.contains(&site) {
-        return SitePlan::Normal;
-    }
-    match strategy {
-        MdaStrategy::Direct => SitePlan::Sequence,
-        MdaStrategy::StaticProfiling => {
-            if static_profile.is_some_and(|p| p.contains(site)) {
-                SitePlan::Sequence
-            } else {
-                SitePlan::Normal
-            }
-        }
-        MdaStrategy::DynamicProfiling => {
-            if profile.saw_mda(site) {
-                SitePlan::Sequence
-            } else {
-                SitePlan::Normal
-            }
-        }
-        MdaStrategy::ExceptionHandling => SitePlan::Normal,
-        MdaStrategy::Dpeh => {
-            let s = profile.site(site);
-            if s.mdas == 0 {
-                SitePlan::Normal
-            } else if multiversion && s.mdas >= mv_min && s.execs - s.mdas >= mv_min {
-                SitePlan::MultiVersion
-            } else {
-                sequence()
-            }
-        }
-    }
-}
-
 /// Convenience: interpret a program start-to-finish with full profiling —
 /// the golden reference for equivalence tests, the training runs for
 /// static profiling, and the Table I measurement.
@@ -1771,6 +1635,7 @@ pub fn states_equivalent(a: &CpuState, b: &CpuState) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::StaticProfile;
     use bridge_x86::asm::Assembler;
     use bridge_x86::cond::Cond;
     use bridge_x86::insn::{AluOp, MemRef};
@@ -2386,20 +2251,60 @@ mod tests {
 
     #[test]
     fn flush_clears_ibtc_and_ras() {
-        // Tiny code region: translation pressure forces whole-cache
-        // flushes; afterwards no IBTC/RAS entry may survive (the run would
-        // jump into freed code). Correct final state is the witness.
-        let prog = call_ret_loop_program(1200);
-        let mut cfg = DbtConfig::new(MdaStrategy::ExceptionHandling)
-            .with_threshold(3)
-            .with_in_cache_dispatch(true);
-        cfg.code_bytes = 160; // too small for the whole working set
-        let mut dbt = Dbt::with_machine(cfg, Machine::without_caches(CostModel::flat()));
-        dbt.load(&prog);
-        dbt.set_stack(0x00F0_0000);
-        let r = dbt.run(400_000_000).expect("halts");
-        assert!(r.cache_flushes >= 1, "flushes: {}", r.cache_flushes);
-        assert_eq!(r.final_state.reg(Eax), 1200);
+        // Two call/ret loops taking turns over a misaligned stack (so EH
+        // patches their sites through stubs), under two pressures. A code
+        // region holding one loop's blocks but not both evicts LRU blocks
+        // at every turn; a tiny stub region flushes the whole cache.
+        // Either way no IBTC/RAS entry may outlive its block (a returning
+        // call would jump into reused code): the reference state is the
+        // witness.
+        let prog = program(|a| {
+            let (f1, f2) = (a.new_label(), a.new_label());
+            a.mov_ri(Esp, 0x00F0_0000 - 2);
+            a.mov_ri(Eax, 0);
+            a.mov_ri(Edx, 20);
+            let outer = a.here_label();
+            for f in [f1, f2] {
+                a.mov_ri(Ecx, 30);
+                let inner = a.here_label();
+                a.call(f);
+                a.alu_ri(AluOp::Sub, Ecx, 1);
+                a.jcc(Cond::Ne, inner);
+            }
+            a.alu_ri(AluOp::Sub, Edx, 1);
+            a.jcc(Cond::Ne, outer);
+            a.hlt();
+            for (f, n) in [(f1, 1), (f2, 2)] {
+                a.bind(f);
+                a.alu_ri(AluOp::Add, Eax, n);
+                a.ret();
+            }
+        });
+        let (ref_state, _) =
+            profile_program(&prog, &[], None, &CostModel::flat(), 1_000_000).unwrap();
+        for (code_bytes, stub_bytes) in [(400, 1 << 20), (2 << 20, 64)] {
+            let registry = Arc::new(Registry::new());
+            let mut cfg = DbtConfig::new(MdaStrategy::ExceptionHandling)
+                .with_threshold(3)
+                .with_in_cache_dispatch(true)
+                .with_metrics(Arc::clone(&registry));
+            cfg.code_bytes = code_bytes;
+            cfg.stub_bytes = stub_bytes;
+            let mut dbt = Dbt::with_machine(cfg, Machine::without_caches(CostModel::flat()));
+            dbt.load(&prog);
+            let r = dbt.run(400_000_000).expect("halts");
+            let evictions = registry.counter("dbt.code_cache.evictions").get();
+            if code_bytes == 400 {
+                assert!(evictions > 0, "{r}");
+                assert_eq!(r.cache_flushes, 0, "a full code region never flushes");
+            } else {
+                assert_eq!(evictions, 0, "{r}");
+                assert!(r.cache_flushes >= 1, "{r}");
+            }
+            assert!(r.patched_sites > 0 && r.ras_hits > 0, "{r}");
+            assert_eq!(r.final_state.reg(Eax), 1800);
+            assert!(states_equivalent(&r.final_state, &ref_state));
+        }
     }
 
     #[test]

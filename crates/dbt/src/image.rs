@@ -5,7 +5,7 @@
 //! selection, profiling, retranslation — is paid at runtime. Elevator
 //! (PAPERS.md) shows a deterministic translator can pay it once, offline.
 //! Our engine asserts byte-determinism of its translation products (the
-//! shared-cache tests prove shared-vs-private byte identity), which makes
+//! shared-cache tests prove shared-vs-alone byte identity), which makes
 //! the product safe to persist: a [`TranslationImage`] captures every
 //! entry of a [`SharedCodeCache`] — TB words, metadata, the centrally
 //! allocated host addresses, the per-site MDA plan vectors and dispatch

@@ -50,7 +50,9 @@ pub struct RunReport {
     ///
     /// [`DbtConfig::count_retired`]: crate::config::DbtConfig::count_retired
     pub guest_insns_retired: u64,
-    /// Whole-cache flushes forced by exhaustion.
+    /// Whole-cache flushes forced by stub-region exhaustion. A full code
+    /// region never flushes: it evicts least-recently-used blocks (the
+    /// `dbt.code_cache.evictions` counter).
     pub cache_flushes: u64,
     /// Blocks permanently left to the interpreter (translator fallback).
     pub interp_only_blocks: u64,

@@ -1,5 +1,10 @@
-//! The shared translation cache: the `SharedState` half of the
+//! The translation cache: the `SharedState` half of the
 //! SharedState/PerCpuState split (tcg-rs model).
+//!
+//! Every [`Dbt`](crate::Dbt) owns exactly one [`SharedCodeCache`] — the
+//! fleet's when one is supplied, otherwise one created for the engine
+//! alone. A lone engine is simply the one-consumer case: the code path is
+//! the same.
 //!
 //! # Model
 //!
@@ -13,14 +18,16 @@
 //! variant; every executor that validates against an entry installs the
 //! same pristine words at the same address in its own memory. Translation
 //! work is paid once per variant fleet-wide; the *simulated* translation
-//! charge is still paid by every engine, so shared-cache runs are
-//! byte-identical to private-cache runs (the determinism tests pin this).
+//! charge is still paid by every engine, so an engine reusing fleet
+//! entries reports exactly what it would alone on its own cache (the
+//! determinism tests pin this).
 //!
 //! Executors running the same deterministic workload request blocks in
 //! the same order with the same sizes, so the central bump allocator
-//! reproduces exactly the layout each private engine would have chosen —
+//! reproduces exactly the layout each engine would have chosen alone —
 //! which keeps the simulated I-cache behaviour, and therefore cycles,
-//! identical between modes.
+//! identical however many engines share the cache. When the code region
+//! fills, [`SharedCodeCache::alloc`] evicts least-recently-used entries.
 //!
 //! # Concurrency
 //!
@@ -67,9 +74,9 @@ pub struct SharedBlock {
     /// engine's first translation of a PC is variant 0, the translation
     /// after its first invalidation is variant 1, and so on. Keying on
     /// the variant makes a retranslation allocate fresh space even when
-    /// its site plans come out identical to an older translation's — a
-    /// private engine would have bumped its allocator, so a shared hit at
-    /// the old address would change code layout (and with it the
+    /// its site plans come out identical to an older translation's — an
+    /// engine alone bumps the allocator for every retranslation, so a hit
+    /// at the old address would change code layout (and with it the
     /// simulated I-cache behaviour). Deterministic replicas reach the
     /// same variant numbers in the same order, so sharing across the
     /// fleet is unaffected.
@@ -134,7 +141,7 @@ struct SharedState {
     /// Variants per guest PC (usually one; strategies that force sites
     /// mid-run add more).
     entries: HashMap<u32, Vec<Arc<SharedBlock>>>,
-    /// Bump pointer for fresh allocations (replicates private layout
+    /// Bump pointer for fresh allocations (the layout a lone engine gets,
     /// while capacity lasts).
     next: u64,
     /// Coalesced free ranges `(addr, bytes)` reclaimed by eviction,
@@ -326,8 +333,8 @@ impl SharedCodeCache {
         let mut s = self.lock();
         let mut evicted = Vec::new();
         loop {
-            // Bump first: while capacity lasts, layout replicates what
-            // every private engine would have chosen.
+            // Bump first: while capacity lasts, every engine gets the
+            // layout it would have had alone.
             if s.next + bytes <= self.limit {
                 let addr = s.next;
                 s.next += bytes;
@@ -556,7 +563,7 @@ mod tests {
     }
 
     #[test]
-    fn bump_allocation_replicates_private_layout() {
+    fn bump_allocation_lays_blocks_end_to_end() {
         let sh = SharedCodeCache::new(4096);
         let a = sh.alloc(8).unwrap();
         let b = sh.alloc(16).unwrap();

@@ -36,19 +36,20 @@
 //!
 //! # Shared translation cache
 //!
-//! By default ([`ServeConfig::shared_cache`]) the shards are true vCPU
-//! workers over a fleet-shared translation cache
-//! ([`bridge_dbt::SharedCodeCache`]): per *translation context* —
+//! Every engine has exactly one translation cache
+//! ([`bridge_dbt::SharedCodeCache`]), shared or alone. The pooled shards
+//! are vCPU workers sharing one: per *translation context* —
 //! `(kernel spec, strategy, hot threshold)`, see
 //! [`RunRequest::translation_context`] — the service memoizes one cache,
 //! and every request in that context attaches to it. Translation then
 //! happens once per context fleet-wide; later guests validate and reuse
 //! the products. Because engines still pay the full *simulated*
-//! translation charge on every install, results stay byte-identical to
-//! private-cache mode — the determinism contract above is unchanged, and
-//! [`ExecService::run_sequential`] (always private) doubles as its
-//! cross-mode witness. The saving is host-side translation work, visible
-//! in the `dbt.blocks_translated` and `dbt.code_cache.*` counters.
+//! translation charge on every install, results stay byte-identical to an
+//! engine alone on its own cache — the determinism contract above is
+//! unchanged, and [`ExecService::run_sequential`], whose engines each get
+//! a cache of their own, doubles as its witness. The saving is host-side
+//! translation work, visible in the `dbt.blocks_translated` and
+//! `dbt.code_cache.*` counters.
 
 pub mod deadline;
 pub mod edge;
@@ -95,13 +96,8 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Trace bounds applied to guests whose request asks for tracing.
     pub trace: TraceConfig,
-    /// Attach every pooled guest to the per-context shared translation
-    /// cache (see the crate docs). On by default; results are identical
-    /// either way, only host-side translation work differs.
-    pub shared_cache: bool,
-    /// Directory of persistent AOT translation images. When set (and
-    /// [`ServeConfig::shared_cache`] is on), every new translation
-    /// context warm-starts from the store's artifact if a valid one
+    /// Directory of persistent AOT translation images. When set, every
+    /// new translation context warm-starts from the store's artifact if a valid one
     /// exists, and [`ExecService::run_batch`] persists each context's
     /// cache back after the batch. Results are byte-identical with or
     /// without a store — only host-side translation work differs.
@@ -134,7 +130,6 @@ impl Default for ServeConfig {
             shards: 4,
             queue_depth: 8,
             trace: TraceConfig::default(),
-            shared_cache: true,
             image_store: None,
             spans: false,
             watch: None,
@@ -159,12 +154,6 @@ impl ServeConfig {
     /// Builder-style: set the trace bounds for tracing guests.
     pub fn with_trace(mut self, trace: TraceConfig) -> ServeConfig {
         self.trace = trace;
-        self
-    }
-
-    /// Builder-style: enable or disable the shared translation cache.
-    pub fn with_shared_cache(mut self, on: bool) -> ServeConfig {
-        self.shared_cache = on;
         self
     }
 
@@ -1003,7 +992,7 @@ impl ExecService {
         &self,
         req: &RunRequest,
         profile: Option<Arc<StaticProfile>>,
-        shared: bool,
+        cache: Option<Arc<SharedCodeCache>>,
     ) -> DbtConfig {
         let mut cfg = DbtConfig::new(req.strategy).with_threshold(req.hot_threshold);
         if let Some(p) = profile {
@@ -1012,8 +1001,8 @@ impl ExecService {
         if req.trace {
             cfg = cfg.with_trace(self.cfg.trace.clone());
         }
-        if shared {
-            cfg = cfg.with_shared_cache(self.shared_cache_for(req));
+        if let Some(c) = cache {
+            cfg = cfg.with_shared_cache(c);
         }
         if self.spans.is_some() {
             // Cycle-domain engine spans (translate / execute / trap-fixup
@@ -1044,15 +1033,13 @@ impl ExecService {
         // profile, which must be seeded before `shared_profile` would
         // re-derive it from a training run.
         let warm = self.span_start(SpanKind::WarmStart, parent);
-        let preloaded = self.cfg.shared_cache && {
-            self.shared_cache_for(&req);
-            self.context_preloaded(&req)
-        };
+        let cache = self.shared_cache_for(&req);
+        let preloaded = self.context_preloaded(&req);
         self.span_end(warm, 0);
         let kernel = self.shared_kernel(req.kernel);
         let profile =
             (req.strategy == MdaStrategy::StaticProfiling).then(|| self.shared_profile(req.kernel));
-        let cfg = self.config_for(&req, profile, self.cfg.shared_cache);
+        let cfg = self.config_for(&req, profile, Some(cache));
         let result = execute(&kernel, cfg, req);
         if let Some(engine) = &result.spans {
             self.span_adopt(engine, parent);
@@ -1172,11 +1159,11 @@ impl ExecService {
     /// The naive per-request baseline the service exists to beat: executes
     /// the batch on the calling thread, re-building the kernel and —
     /// for static-profiling guests — re-running the full training-input
-    /// interpretation for **every** request, sharing nothing (private
-    /// translation caches regardless of [`ServeConfig::shared_cache`]).
-    /// Results are byte-identical to [`ExecService::run_batch`] (every
-    /// derivation is deterministic and the shared cache preserves code
-    /// layout); only the redundant work differs.
+    /// interpretation for **every** request, sharing nothing (each engine
+    /// creates its own translation cache). Results are byte-identical to
+    /// [`ExecService::run_batch`] (every derivation is deterministic and
+    /// a shared cache lays code out exactly as a lone one does); only the
+    /// redundant work differs.
     pub fn run_sequential(&self, requests: &[RunRequest]) -> BatchReport {
         let guests = requests
             .iter()
@@ -1184,7 +1171,7 @@ impl ExecService {
                 let kernel = req.kernel.build();
                 let profile = (req.strategy == MdaStrategy::StaticProfiling)
                     .then(|| Arc::new(train(req.kernel)));
-                execute(&kernel, self.config_for(&req, profile, false), req)
+                execute(&kernel, self.config_for(&req, profile, None), req)
             })
             .collect();
         BatchReport::from_guests(guests)
@@ -1309,18 +1296,14 @@ mod tests {
             .map(|_| RunRequest::new(spec, MdaStrategy::ExceptionHandling).with_threshold(10))
             .collect();
 
-        let private = ExecService::new(
-            ServeConfig::default()
-                .with_shards(2)
-                .with_shared_cache(false),
-        );
+        let unshared = ExecService::new(ServeConfig::default());
         let shared = ExecService::new(ServeConfig::default().with_shards(2));
-        let a = private.run_batch(&reqs);
+        let a = unshared.run_sequential(&reqs);
         let b = shared.run_batch(&reqs);
 
         // Byte-identical results: the shared cache replays the exact
-        // translation products (and code layout) every private engine
-        // would have produced on its own.
+        // translation products (and code layout) every engine would have
+        // produced alone on its own cache.
         assert_eq!(a.merged_stats, b.merged_stats);
         assert_eq!(a.reports_text(), b.reports_text());
         for (p, s) in a.guests.iter().zip(&b.guests) {
@@ -1329,13 +1312,13 @@ mod tests {
 
         // `dbt.blocks_translated` counts actual translator invocations.
         // Three replicas over a shared cache translate each block once;
-        // three private engines translate it three times.
-        let translated_private = private.metrics().counter("dbt.blocks_translated").get();
+        // three engines on caches of their own translate it three times.
+        let translated_unshared = unshared.metrics().counter("dbt.blocks_translated").get();
         let translated_shared = shared.metrics().counter("dbt.blocks_translated").get();
         assert!(
-            translated_shared * 3 == translated_private,
+            translated_shared * 3 == translated_unshared,
             "replicas shared every translation: {translated_shared} shared vs \
-             {translated_private} private"
+             {translated_unshared} unshared"
         );
         // The installs-from-shared show up as code-cache hits.
         let m = shared.metrics();

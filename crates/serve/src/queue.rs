@@ -9,9 +9,10 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// Why a [`BoundedQueue::try_push`] did not enqueue; the item comes back
-/// so the caller can respond to its submitter (the edge turns these into
-/// typed rejections instead of blocking the socket reader).
+/// Why a non-blocking push ([`FairQueue::try_push`](crate::FairQueue::try_push))
+/// did not enqueue; the item comes back so the caller can respond to its
+/// submitter (the edge turns these into typed rejections instead of
+/// blocking the socket reader).
 #[derive(Debug, PartialEq, Eq)]
 pub enum TryPushError<T> {
     /// The queue was at capacity.
@@ -67,22 +68,6 @@ impl<T> BoundedQueue<T> {
                 .wait(inner)
                 .expect("queue lock never poisoned");
         }
-    }
-
-    /// Enqueues `item` if a slot is free *right now*, never blocking.
-    /// Overload surfaces as [`TryPushError::Full`] so the caller can shed
-    /// instead of stalling — the admission path of the network edge.
-    pub fn try_push(&self, item: T) -> Result<(), TryPushError<T>> {
-        let mut inner = self.inner.lock().expect("queue lock never poisoned");
-        if inner.closed {
-            return Err(TryPushError::Closed(item));
-        }
-        if inner.items.len() >= inner.capacity {
-            return Err(TryPushError::Full(item));
-        }
-        inner.items.push_back(item);
-        self.not_empty.notify_one();
-        Ok(())
     }
 
     /// Dequeues the oldest item, blocking while the queue is empty.
@@ -165,19 +150,6 @@ mod tests {
             assert_eq!(q.pop(), Some(1));
             assert_eq!(q.pop(), Some(2));
         });
-    }
-
-    #[test]
-    fn try_push_sheds_on_full_and_closed() {
-        let q = BoundedQueue::new(1);
-        assert_eq!(q.try_push(1), Ok(()));
-        assert_eq!(q.try_push(2), Err(TryPushError::Full(2)), "no blocking");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_push(3), Ok(()));
-        q.close();
-        assert_eq!(q.try_push(4), Err(TryPushError::Closed(4)));
-        assert_eq!(q.pop(), Some(3), "closed queue still drains");
-        assert_eq!(q.pop(), None);
     }
 
     /// Many producers and consumers racing through a tiny queue: every
@@ -311,10 +283,6 @@ mod tests {
                 s.spawn(move || {
                     barrier.wait();
                     assert_eq!(q.push(p), Err(p), "own item handed back");
-                    match q.try_push(p) {
-                        Err(TryPushError::Closed(v)) => assert_eq!(v, p),
-                        other => panic!("expected Closed, got {other:?}"),
-                    }
                 });
             }
         });

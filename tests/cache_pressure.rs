@@ -1,14 +1,17 @@
-//! Failure injection: code-cache and stub-region exhaustion, interpreter
+//! Failure injection: code-region and stub-region exhaustion, interpreter
 //! fallback blocks, and misaligned traps at awkward instruction positions.
-//! Correctness must survive all of it.
+//! Correctness must survive all of it. A full code region evicts
+//! least-recently-used blocks; a full stub region flushes the whole cache.
 
 use digitalbridge::dbt::engine::{states_equivalent, GuestProgram};
-use digitalbridge::dbt::{Dbt, DbtConfig, MdaStrategy};
+use digitalbridge::dbt::{Dbt, DbtConfig, MdaStrategy, RunReport};
+use digitalbridge::metrics::Registry;
 use digitalbridge::sim::{CostModel, Machine};
 use digitalbridge::x86::asm::Assembler;
 use digitalbridge::x86::cond::Cond;
 use digitalbridge::x86::insn::{AluOp, Ext, MemRef, Width};
 use digitalbridge::x86::reg::Reg32::*;
+use std::sync::Arc;
 
 const ENTRY: u32 = 0x0040_0000;
 
@@ -33,36 +36,46 @@ fn many_blocks_program(block_count: u32, passes: i32) -> GuestProgram {
     GuestProgram::new(ENTRY, a.finish().expect("assembles"))
 }
 
-fn run_with_cache(prog: &GuestProgram, code_bytes: u64, stub_bytes: u64) -> (u64, Vec<u32>) {
-    let mut cfg = DbtConfig::new(MdaStrategy::ExceptionHandling).with_threshold(2);
+/// Runs `prog` under EH with the given region sizes; returns the report
+/// and the `dbt.code_cache.evictions` count.
+fn run_with_cache(prog: &GuestProgram, code_bytes: u64, stub_bytes: u64) -> (RunReport, u64) {
+    let registry = Arc::new(Registry::new());
+    let mut cfg = DbtConfig::new(MdaStrategy::ExceptionHandling)
+        .with_threshold(2)
+        .with_metrics(Arc::clone(&registry));
     cfg.code_bytes = code_bytes;
     cfg.stub_bytes = stub_bytes;
     let mut dbt = Dbt::with_machine(cfg, Machine::without_caches(CostModel::flat()));
     dbt.load(prog);
     dbt.set_stack(0x00F0_0000);
     let r = dbt.run(200_000_000).expect("halts under cache pressure");
-    (r.cache_flushes, r.final_state.regs.to_vec())
+    let evictions = registry.counter("dbt.code_cache.evictions").get();
+    (r, evictions)
 }
 
 #[test]
-fn tiny_code_cache_forces_flushes_but_stays_correct() {
+fn tiny_code_cache_evicts_but_stays_correct() {
     let prog = many_blocks_program(40, 50);
-    let (no_pressure_flushes, regs_big) = run_with_cache(&prog, 2 << 20, 1 << 20);
-    assert_eq!(no_pressure_flushes, 0);
+    let (big, no_pressure_evictions) = run_with_cache(&prog, 2 << 20, 1 << 20);
+    assert_eq!(no_pressure_evictions, 0);
     // 2 KiB of code: 40 blocks cannot fit.
-    let (flushes, regs_small) = run_with_cache(&prog, 2 << 10, 4 << 10);
-    assert!(flushes > 0, "tiny cache must flush");
-    assert_eq!(regs_big, regs_small, "flushes must not change results");
+    let (small, evictions) = run_with_cache(&prog, 2 << 10, 4 << 10);
+    assert!(evictions > 0, "tiny code region must evict");
+    assert_eq!(small.cache_flushes, 0, "a full code region never flushes");
+    assert_eq!(
+        big.final_state.regs, small.final_state.regs,
+        "evictions must not change results"
+    );
 }
 
 #[test]
 fn tiny_stub_region_forces_flushes_but_stays_correct() {
     let prog = many_blocks_program(30, 40);
-    let (_, regs_big) = run_with_cache(&prog, 2 << 20, 1 << 20);
+    let (big, _) = run_with_cache(&prog, 2 << 20, 1 << 20);
     // Room for only a couple of stubs (~10 words each).
-    let (flushes, regs_small) = run_with_cache(&prog, 2 << 20, 128);
-    assert!(flushes > 0, "tiny stub region must flush");
-    assert_eq!(regs_big, regs_small);
+    let (small, _) = run_with_cache(&prog, 2 << 20, 128);
+    assert!(small.cache_flushes > 0, "tiny stub region must flush");
+    assert_eq!(big.final_state.regs, small.final_state.regs);
 }
 
 #[test]

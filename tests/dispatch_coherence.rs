@@ -1,15 +1,18 @@
 //! End-to-end coherence of in-cache-code dispatch: the inline IBTC, the
 //! shadow return stack, and lazy chaining must never let stale host code
-//! run after `write_guest_code` or a cache flush, and turning the fast
-//! path on must not change guest-visible results under any MDA strategy.
+//! run after `write_guest_code`, an LRU eviction or a cache flush, and
+//! turning the fast path on must not change guest-visible results under
+//! any MDA strategy.
 
 use digitalbridge::dbt::engine::{profile_program, states_equivalent, GuestProgram};
 use digitalbridge::dbt::{Dbt, DbtConfig, MdaStrategy, StaticProfile};
+use digitalbridge::metrics::Registry;
 use digitalbridge::sim::{CostModel, Machine};
 use digitalbridge::x86::asm::Assembler;
 use digitalbridge::x86::cond::Cond;
 use digitalbridge::x86::insn::{AluOp, MemRef};
 use digitalbridge::x86::reg::Reg32::*;
+use std::sync::Arc;
 
 const ENTRY: u32 = 0x0040_0000;
 
@@ -154,12 +157,42 @@ fn write_guest_code_reenters_monitor_for_every_strategy() {
     }
 }
 
-/// Satellite: a code-cache flush clears the IBTC and shadow return stack
-/// along with the blocks — results stay correct even when every translation
-/// is repeatedly evicted mid-run.
+/// Two call/ret loops over a misaligned stack taking turns `outer` times,
+/// `inner` calls each: a working set whose halves can evict each other.
+fn alternating_call_loops(outer: i32, inner: i32) -> GuestProgram {
+    let mut a = Assembler::new(ENTRY);
+    let (f1, f2) = (a.new_label(), a.new_label());
+    a.mov_ri(Esp, 0x00F0_0000 - 2);
+    a.mov_ri(Eax, 0);
+    a.mov_ri(Edx, outer);
+    let top = a.here_label();
+    for f in [f1, f2] {
+        a.mov_ri(Ecx, inner);
+        let lp = a.here_label();
+        a.call(f);
+        a.alu_ri(AluOp::Sub, Ecx, 1);
+        a.jcc(Cond::Ne, lp);
+    }
+    a.alu_ri(AluOp::Sub, Edx, 1);
+    a.jcc(Cond::Ne, top);
+    a.hlt();
+    for (f, n) in [(f1, 1), (f2, 2)] {
+        a.bind(f);
+        a.alu_rm(AluOp::Add, Eax, MemRef::abs(0x10_0000));
+        a.alu_ri(AluOp::Add, Eax, n);
+        a.ret();
+    }
+    GuestProgram::new(ENTRY, a.finish().expect("assembles"))
+}
+
+/// Satellite: LRU eviction and whole-cache flushes clear the IBTC and
+/// shadow return stack along with the blocks, for every strategy. A code
+/// region two-thirds the size of the working set evicts one loop's blocks
+/// at every turn; a stub region with room for one stub flushes
+/// everything. Results stay correct while the fast path keeps hitting.
 #[test]
 fn cache_flush_with_dispatch_preserves_results() {
-    let prog = mda_call_loop(300, false);
+    let prog = alternating_call_loops(20, 30);
     let ref_state = profile_program(
         &prog,
         &[],
@@ -169,10 +202,40 @@ fn cache_flush_with_dispatch_preserves_results() {
     )
     .expect("halts")
     .0;
-    let mut cfg = cfg_for(MdaStrategy::ExceptionHandling).with_in_cache_dispatch(true);
-    cfg.code_bytes = 160; // too small for the working set: forces flushes
-    let r = run_dbt(&prog, cfg);
-    assert!(r.cache_flushes >= 1, "flushes: {}", r.cache_flushes);
-    assert!(states_equivalent(&r.final_state, &ref_state));
-    assert_eq!(r.final_state.reg(Eax), 300);
+    for strategy in MdaStrategy::ALL {
+        let run = |code_bytes: u64, stub_bytes: u64| {
+            let registry = Arc::new(Registry::new());
+            let mut cfg = cfg_for(strategy)
+                .with_in_cache_dispatch(true)
+                .with_metrics(Arc::clone(&registry));
+            cfg.code_bytes = code_bytes;
+            cfg.stub_bytes = stub_bytes;
+            let r = run_dbt(&prog, cfg);
+            assert!(
+                states_equivalent(&r.final_state, &ref_state),
+                "{strategy:?} code={code_bytes} stubs={stub_bytes}"
+            );
+            assert_eq!(r.final_state.reg(Eax), 20 * 30 * 3, "{strategy:?}");
+            assert!(r.ibtc_hits + r.ras_hits > 0, "{strategy:?}: {r}");
+            let evictions = registry.counter("dbt.code_cache.evictions").get();
+            let working_set = registry.gauge("dbt.code_cache.bytes").get() as u64;
+            (r, evictions, working_set)
+        };
+        let (_, evictions, working_set) = run(2 << 20, 1 << 20);
+        assert_eq!(evictions, 0, "{strategy:?}");
+
+        // Word-aligned, since the stub region starts right after it.
+        let (r, evictions, _) = run((working_set * 2 / 3) & !3, 1 << 20);
+        assert!(evictions > 0, "{strategy:?}: code pressure must evict");
+        assert_eq!(r.cache_flushes, 0, "{strategy:?}: eviction is not a flush");
+
+        // Exception handling patches every site through a stub (the
+        // profiling strategies saw the misaligned stack before
+        // translating): a one-stub region forces whole-cache flushes.
+        if strategy == MdaStrategy::ExceptionHandling {
+            assert!(r.patched_sites > 0, "{strategy:?}: {r}");
+            let (r, _, _) = run(2 << 20, 64);
+            assert!(r.cache_flushes >= 1, "{strategy:?}: {r}");
+        }
+    }
 }

@@ -1,7 +1,8 @@
 //! Shared-translation-cache coherence: N executor threads over one
-//! fleet-shared cache must be byte-identical to private caches, survive
-//! concurrent guest-code patching and capacity-pressure eviction, and
-//! never execute a stale translation — for every MDA strategy.
+//! fleet-shared cache must be byte-identical to engines alone on their own
+//! caches, survive concurrent guest-code patching and capacity-pressure
+//! eviction, and never execute a stale translation — for every MDA
+//! strategy.
 
 use digitalbridge::dbt::engine::{profile_program, states_equivalent, GuestProgram};
 use digitalbridge::dbt::{Dbt, DbtConfig, MdaStrategy, SharedCodeCache, StaticProfile};
@@ -78,7 +79,7 @@ fn attached(strategy: MdaStrategy, shared: &Arc<SharedCodeCache>, prog: &GuestPr
 /// Byte identity: under the full cost model (I-cache included), a guest on
 /// a shared cache — whether it translates every block itself or installs
 /// every block from another engine's products — reports *exactly* what a
-/// private-cache guest reports, for every strategy.
+/// guest alone on its own cache reports, for every strategy.
 #[test]
 fn shared_cache_reports_are_byte_identical_for_every_strategy() {
     let kernel = phase_change_sum(100, 200);
@@ -92,7 +93,7 @@ fn shared_cache_reports_are_byte_identical_for_every_strategy() {
             kernel.load_into(&mut dbt);
             dbt.run(FUEL).expect("halts").to_string()
         };
-        let private = run(None);
+        let alone = run(None);
         let shared = SharedCodeCache::new(2 << 20);
         let first = run(Some(Arc::clone(&shared))); // populates the cache
         let reuse = run(Some(Arc::clone(&shared))); // installs from it
@@ -100,8 +101,8 @@ fn shared_cache_reports_are_byte_identical_for_every_strategy() {
             shared.stats().hits > 0,
             "{strategy:?}: the second guest must reuse translations"
         );
-        assert_eq!(private, first, "{strategy:?}: translator-side identity");
-        assert_eq!(private, reuse, "{strategy:?}: install-from-shared identity");
+        assert_eq!(alone, first, "{strategy:?}: translator-side identity");
+        assert_eq!(alone, reuse, "{strategy:?}: install-from-shared identity");
     }
 }
 
