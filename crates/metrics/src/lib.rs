@@ -859,9 +859,9 @@ mod tests {
     fn prometheus_every_sample_name_matches_a_type_declaration() {
         let r = Registry::new();
         r.counter("dbt.traps").add(3);
-        r.gauge("serve.queue.depth").set(2);
+        r.gauge("serve.edge.queue.depth").set(2);
         r.histogram("serve.exec_cycles").observe(100);
-        r.histogram("serve.queue.wait_us").observe(0);
+        r.histogram("serve.edge.queue_wait_us").observe(0);
         let text = r.to_prometheus();
         // Parse line by line the way a conformant scraper does: every
         // sample must belong to the family most recently declared by a
@@ -952,7 +952,7 @@ mod tests {
         let r = Registry::new();
         let c = r.counter("serve.requests");
         c.add(10);
-        r.gauge("serve.queue.depth").set(3);
+        r.gauge("serve.edge.queue.depth").set(3);
         let h = r.histogram("serve.exec_cycles");
         h.observe(100);
         let mut s = HealthSampler::new();

@@ -35,17 +35,15 @@
 //! requests.
 
 use crate::deadline::Deadline;
-use crate::queue::TryPushError;
-use crate::tenant::{FairQueue, QuotaLedger};
-use crate::{ExecService, KernelSpec, RunRequest, ServeConfig};
+use crate::tenant::{FairQueue, QuotaLedger, TryPushError};
+use crate::{ExecService, GuestResult, Job, KernelSpec, RunRequest, ServeConfig};
 use bridge_dbt::MdaStrategy;
-use bridge_trace::{SpanId, SpanKind, TraceEvent, Tracer};
+use bridge_trace::{TraceEvent, Tracer};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Protocol identifier (reported by [`EdgeServer::schema`]; bump on any
 /// wire layout change).
@@ -189,23 +187,18 @@ impl EdgeConfig {
     }
 }
 
-/// One admitted run waiting for a dispatch worker.
-struct Job {
-    tenant: u32,
+/// Where an admitted run's answer goes: the client's request id and its
+/// connection's write half.
+struct Reply {
     id: u64,
-    req: RunRequest,
-    deadline: Deadline,
     conn: Arc<Mutex<TcpStream>>,
-    enqueued: Instant,
-    req_span: SpanId,
-    enq_us: Option<u64>,
 }
 
 /// State shared by the acceptor, per-connection readers and dispatch
 /// workers.
 struct EdgeShared {
     svc: ExecService,
-    queue: FairQueue<Job>,
+    queue: FairQueue<Job<Reply>>,
     ledger: QuotaLedger,
     shutdown: AtomicBool,
     tracer: Mutex<Tracer>,
@@ -256,32 +249,20 @@ impl EdgeShared {
             });
             return EdgeStatus::ShedQuota;
         }
-        // The request span roots here — the listener is where the
-        // request's service lifetime begins.
-        let req_span = self.svc.span_start(SpanKind::Request, SpanId::NONE);
-        let enq_us = self.svc.span_now_us();
-        let job = Job {
-            tenant,
+        // `submit` roots the request span here — the listener is where
+        // the request's service lifetime begins.
+        let reply = Reply {
             id,
-            req,
-            deadline,
             conn: Arc::clone(conn),
-            enqueued: Instant::now(),
-            req_span,
-            enq_us,
         };
-        match self.queue.try_push(tenant, job) {
+        match self.svc.submit(&self.queue, tenant, req, deadline, reply) {
             Ok(()) => {
                 self.svc.metrics.counter("serve.edge.admitted").inc();
-                self.svc.metrics.gauge("serve.edge.queue.depth").add(1);
-                self.svc
-                    .span_complete(SpanKind::Enqueue, req_span, enq_us, self.svc.span_now_us());
                 self.record(TraceEvent::EdgeAdmit { tenant, id });
                 EdgeStatus::Ok
             }
             Err(TryPushError::Full(_)) => {
                 self.ledger.release(tenant);
-                self.svc.span_end(req_span, 0);
                 self.record(TraceEvent::EdgeShed {
                     tenant,
                     id,
@@ -291,63 +272,51 @@ impl EdgeShared {
             }
             Err(TryPushError::Closed(_)) => {
                 self.ledger.release(tenant);
-                self.svc.span_end(req_span, 0);
                 EdgeStatus::ShuttingDown
             }
         }
     }
 
-    /// Dispatches one dequeued job: deadline re-check (shed, never
-    /// execute, if it aged out in the queue), then the service's
-    /// per-request path with the span tree grafted under the request.
-    fn dispatch(&self, job: Job) {
-        let waited_us = job.enqueued.elapsed().as_micros() as u64;
-        self.svc.metrics.gauge("serve.edge.queue.depth").sub(1);
+    /// The dispatch loop's delivery for the edge: writes the run body, or
+    /// the typed shed for a deadline that expired in the queue, to the
+    /// client's connection and returns the tenant's quota slot.
+    fn deliver(&self, tenant: u32, reply: Reply, result: Result<GuestResult, u64>) {
+        match result {
+            Err(waited_us) => {
+                self.count(EdgeStatus::ShedDeadlineQueued);
+                self.record(TraceEvent::EdgeDeadline {
+                    tenant,
+                    id: reply.id,
+                    waited_us,
+                });
+                write_response(&reply.conn, reply.id, EdgeStatus::ShedDeadlineQueued, &[]);
+            }
+            Ok(result) => {
+                self.count(EdgeStatus::Ok);
+                let mut body = vec![BODY_RUN];
+                put_u64(&mut body, result.report.stats.cycles);
+                let text = result.report.to_string();
+                put_u32(&mut body, text.len() as u32);
+                body.extend_from_slice(text.as_bytes());
+                put_u32(&mut body, result.memory.len() as u32);
+                for (addr, bytes) in &result.memory {
+                    put_u32(&mut body, *addr);
+                    put_u32(&mut body, bytes.len() as u32);
+                    body.extend_from_slice(bytes);
+                }
+                write_response_raw(&reply.conn, reply.id, EdgeStatus::Ok, &body);
+            }
+        }
+        self.ledger.release(tenant);
+    }
+
+    /// One dispatch worker: the service's dispatch loop over the
+    /// admission queue, answering on each job's connection.
+    fn work(&self) {
         self.svc
-            .metrics
-            .histogram("serve.edge.queue_wait_us")
-            .observe(waited_us);
-        self.svc.span_complete(
-            SpanKind::QueueWait,
-            job.req_span,
-            job.enq_us,
-            self.svc.span_now_us(),
-        );
-        if job.deadline.expired() {
-            self.count(EdgeStatus::ShedDeadlineQueued);
-            self.record(TraceEvent::EdgeDeadline {
-                tenant: job.tenant,
-                id: job.id,
-                waited_us,
+            .dispatch_loop(&self.queue, |tenant, reply, result| {
+                self.deliver(tenant, reply, result)
             });
-            self.svc.span_end(job.req_span, 0);
-            write_response(&job.conn, job.id, EdgeStatus::ShedDeadlineQueued, &[]);
-            self.ledger.release(job.tenant);
-            return;
-        }
-        let dispatch = self.svc.span_start(SpanKind::Dispatch, job.req_span);
-        let started = Instant::now();
-        let result = self.svc.run_one_spanned(job.req, dispatch);
-        self.svc
-            .metrics
-            .histogram("serve.edge.exec_us")
-            .observe(started.elapsed().as_micros() as u64);
-        self.svc.span_end(dispatch, result.report.stats.cycles);
-        self.svc.span_end(job.req_span, result.report.stats.cycles);
-        self.count(EdgeStatus::Ok);
-        let mut body = vec![BODY_RUN];
-        put_u64(&mut body, result.report.stats.cycles);
-        let text = result.report.to_string();
-        put_u32(&mut body, text.len() as u32);
-        body.extend_from_slice(text.as_bytes());
-        put_u32(&mut body, result.memory.len() as u32);
-        for (addr, bytes) in &result.memory {
-            put_u32(&mut body, *addr);
-            put_u32(&mut body, bytes.len() as u32);
-            body.extend_from_slice(bytes);
-        }
-        write_response_raw(&job.conn, job.id, EdgeStatus::Ok, &body);
-        self.ledger.release(job.tenant);
     }
 
     /// Serves one connection's read half until EOF or shutdown.
@@ -495,11 +464,7 @@ impl EdgeServer {
         let workers = (0..cfg.workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    while let Some((_tenant, job)) = shared.queue.pop() {
-                        shared.dispatch(job);
-                    }
-                })
+                std::thread::spawn(move || shared.work())
             })
             .collect();
         Ok(EdgeServer {
@@ -553,7 +518,7 @@ impl EdgeServer {
         while let Some((tenant, job)) = self.shared.queue.pop() {
             self.shared.count(EdgeStatus::ShuttingDown);
             self.shared.svc.span_end(job.req_span, 0);
-            write_response(&job.conn, job.id, EdgeStatus::ShuttingDown, &[]);
+            write_response(&job.reply.conn, job.reply.id, EdgeStatus::ShuttingDown, &[]);
             self.shared.ledger.release(tenant);
         }
     }
@@ -863,6 +828,7 @@ impl<'a> Rd<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bridge_trace::SpanKind;
 
     fn requests() -> Vec<RunRequest> {
         let spec = KernelSpec::PhaseChangeSum {
@@ -931,6 +897,29 @@ mod tests {
         let first = health.lines().next().unwrap();
         assert!(first.starts_with("{\"schema\":\"bridge-health/1\""));
         assert!(first.contains("\"context\":\"service\""));
+        edge.shutdown();
+    }
+
+    /// Regression: the health headline reads the queue-wait histogram the
+    /// dispatch loop records, so an edge-served fleet reports its real
+    /// queue wait. Three runs pipelined onto one worker make the later
+    /// two wait behind the first.
+    #[test]
+    fn health_headline_reports_edge_queue_wait() {
+        let edge = EdgeServer::start(EdgeConfig::default().with_workers(1)).unwrap();
+        let mut client = EdgeClient::connect(edge.addr()).unwrap();
+        for (i, req) in requests().into_iter().enumerate() {
+            client.submit_run(i as u64 + 1, 1, 0, req).unwrap();
+        }
+        for _ in 0..3 {
+            assert_eq!(client.read_response().unwrap().status, EdgeStatus::Ok);
+        }
+        let svc = edge.service();
+        svc.health_report();
+        assert!(
+            svc.metrics().gauge("serve.health.queue_wait_p99_us").get() > 0,
+            "queue-wait headline reads the edge histogram"
+        );
         edge.shutdown();
     }
 
@@ -1043,9 +1032,9 @@ mod tests {
         // Let the 1ms budget die while the job sits in the queue (no
         // workers are draining it).
         std::thread::sleep(std::time::Duration::from_millis(20));
-        // Dispatch the queued job the way a worker would.
-        let (_, job) = edge.shared.queue.pop().unwrap();
-        edge.shared.dispatch(job);
+        // Drain the queued job the way a worker would.
+        edge.shared.queue.close();
+        edge.shared.work();
         let resp = client.read_response().unwrap();
         assert_eq!((resp.id, resp.status), (5, EdgeStatus::ShedDeadlineQueued));
         let m = edge.service().metrics();

@@ -2,9 +2,13 @@
 //!
 //! The paper evaluates its five MDA mechanisms one guest at a time; the
 //! ROADMAP north-star is a production-scale service handling many guests
-//! at once. This crate is that throughput backbone: a bounded work queue
-//! of [`RunRequest`]s drained by a pool of worker shards, each running an
-//! independent [`Dbt`] instance, with results aggregated deterministically.
+//! at once. This crate is that throughput backbone: one dispatch loop in
+//! which worker threads drain a [`FairQueue`] of [`RunRequest`]s, each
+//! running an independent [`Dbt`] instance. Two submitters feed it:
+//! [`ExecService::run_batch`] queues a whole batch and aggregates the
+//! results deterministically, and the network [`edge`] admits requests
+//! one at a time and answers each over its socket. The loop is the same
+//! for both; only the delivery of each answer differs.
 //!
 //! # Shared read-only artifacts
 //!
@@ -53,16 +57,15 @@
 
 pub mod deadline;
 pub mod edge;
-pub mod queue;
 pub mod request;
 pub mod tenant;
 
 pub use deadline::Deadline;
 pub use edge::{EdgeClient, EdgeConfig, EdgeResponse, EdgeServer, EdgeStatus, EDGE_SCHEMA};
-pub use queue::BoundedQueue;
 pub use request::{KernelSpec, RunRequest};
 pub use tenant::{FairQueue, QuotaLedger};
 
+use crate::tenant::TryPushError;
 use bridge_dbt::engine::profile_program;
 use bridge_dbt::image::{content_hash, ImageError, ImageKey, ImageStore, TranslationImage};
 use bridge_dbt::{
@@ -87,13 +90,11 @@ use std::time::Instant;
 /// Fuel budget per guest (large; kernels halt by construction).
 pub const FUEL: u64 = 200_000_000_000;
 
-/// Service tuning: pool width and queue depth.
+/// Service tuning: batch pool width, tracing, persistence and telemetry.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads draining the queue.
+    /// Worker threads [`ExecService::run_batch`] runs the dispatch loop on.
     pub shards: usize,
-    /// Bounded queue capacity (backpressure on the submitter).
-    pub queue_depth: usize,
     /// Trace bounds applied to guests whose request asks for tracing.
     pub trace: TraceConfig,
     /// Directory of persistent AOT translation images. When set, every
@@ -105,7 +106,7 @@ pub struct ServeConfig {
     /// Record request-lifecycle spans (enqueue → queue-wait → dispatch →
     /// warm-start → engine run → aggregate) into a service-level
     /// [`SpanRecorder`], and enable cycle-domain engine spans on every
-    /// guest. Off by default. Like `serve.queue.wait_us`, the serve-layer
+    /// guest. Off by default. Like `serve.edge.queue_wait_us`, the serve-layer
     /// spans carry host wall-clock stamps and are nondeterministic
     /// utilization diagnostics; batch *results* stay byte-identical with
     /// spans on or off (the `serve_spans` tests pin this).
@@ -128,7 +129,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             shards: 4,
-            queue_depth: 8,
             trace: TraceConfig::default(),
             image_store: None,
             spans: false,
@@ -142,12 +142,6 @@ impl ServeConfig {
     /// Builder-style: set the worker count (at least 1).
     pub fn with_shards(mut self, shards: usize) -> ServeConfig {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Builder-style: set the queue capacity (at least 1).
-    pub fn with_queue_depth(mut self, depth: usize) -> ServeConfig {
-        self.queue_depth = depth.max(1);
         self
     }
 
@@ -272,6 +266,20 @@ struct ContextCache {
     preloaded: bool,
 }
 
+/// One queued run: the request, its admission stamps, and `reply` — what
+/// the submitter needs to route the answer (a batch slot, or an edge
+/// connection and request id).
+struct Job<R> {
+    req: RunRequest,
+    deadline: Deadline,
+    enqueued: Instant,
+    /// The request's root span and its enqueue wall stamp, so the worker
+    /// can close the queue-wait span it never saw open.
+    req_span: SpanId,
+    enq_us: Option<u64>,
+    reply: R,
+}
+
 /// Content hash of a kernel's guest image: code bytes plus layout (base,
 /// entry, data placement, stack top). Two kernels with equal hashes are
 /// identical translation inputs, so one's persisted translation products
@@ -297,17 +305,18 @@ pub fn kernel_hash(kernel: &Kernel) -> u64 {
 ///
 /// Every service owns a [`Registry`] (read it via
 /// [`ExecService::metrics`]) and feeds it from both layers: the service
-/// itself (requests served, per-request simulated exec cycles, queue
-/// depth with high watermark, per-shard request counts, artifact
-/// memoization hits/misses, host-side queue wait) and every guest engine
-/// (`dbt.*` counters, via [`DbtConfig::with_metrics`]). Instruments in
-/// the simulated-cycle domain — `serve.exec_cycles`, all `dbt.*`
-/// counters, `serve.requests` — are exactly reproducible run-to-run.
-/// `serve.queue.wait_us` measures *host* wall-clock waiting and
-/// `serve.shard.N.requests` depends on scheduling; both are
-/// nondeterministic by nature and exist for utilization diagnostics, not
-/// for byte-comparison. The batch results themselves stay byte-identical
-/// with or without anyone reading the registry.
+/// itself (requests served, per-request simulated exec cycles, artifact
+/// memoization hits/misses, and — from the dispatch loop, whichever
+/// submitter fed it — queue depth with high watermark, host-side queue
+/// wait and host-side exec time) and every guest engine (`dbt.*`
+/// counters, via [`DbtConfig::with_metrics`]). Instruments in the
+/// simulated-cycle domain — `serve.exec_cycles`, all `dbt.*` counters,
+/// `serve.requests` — are exactly reproducible run-to-run.
+/// `serve.edge.queue_wait_us` and `serve.edge.exec_us` measure *host*
+/// wall-clock time; they are nondeterministic by nature and exist for
+/// utilization diagnostics, not for byte-comparison. The batch results
+/// themselves stay byte-identical with or without anyone reading the
+/// registry.
 pub struct ExecService {
     cfg: ServeConfig,
     artifacts: Mutex<HashMap<KernelSpec, Arc<SpecArtifacts>>>,
@@ -351,7 +360,7 @@ struct HealthState {
 struct Telemetry {
     /// Rolling windows over every registry instrument. Window elapsed
     /// units are host wall µs (tick-to-tick), so rates are utilization
-    /// diagnostics like `serve.queue.wait_us` — never byte-comparison
+    /// diagnostics like `serve.edge.queue_wait_us` — never byte-comparison
     /// artifacts.
     series: TimeSeries,
     /// The SLO burn-rate rules from [`ServeConfig::slos`].
@@ -380,7 +389,7 @@ fn describe_serve_metrics(metrics: &Registry) {
         "Per-request simulated guest cycles (deterministic)",
     );
     metrics.describe(
-        "serve.queue.wait_us",
+        "serve.edge.queue_wait_us",
         "Host wall-clock queue wait per request (nondeterministic)",
     );
     metrics.describe(
@@ -741,7 +750,7 @@ impl ExecService {
     /// headline `serve.health.*` gauges (`contexts`,
     /// `requests_per_sec`, `queue_wait_p99_us`, `exec_cycles_p50`) into
     /// the registry. The window is wall-clock — service creation to
-    /// first call, then call to call — so, like `serve.queue.wait_us`,
+    /// first call, then call to call — so, like `serve.edge.queue_wait_us`,
     /// the rates are utilization diagnostics, not byte-comparison
     /// artifacts; batch results are unaffected.
     pub fn health_report(&self) -> Vec<String> {
@@ -796,7 +805,7 @@ impl ExecService {
             .set(clamp(counter_rate("serve.requests")));
         self.metrics
             .gauge("serve.health.queue_wait_p99_us")
-            .set(clamp(hist("serve.queue.wait_us", |h| h.p99)));
+            .set(clamp(hist("serve.edge.queue_wait_us", |h| h.p99)));
         self.metrics
             .gauge("serve.health.exec_cycles_p50")
             .set(clamp(hist("serve.exec_cycles", |h| h.p50)));
@@ -1084,62 +1093,108 @@ impl ExecService {
             .set(t.fleet_watch.site_count() as i64);
     }
 
-    /// Executes a batch across the worker pool: requests enter the bounded
-    /// queue in slot order, `shards` workers drain it, and results land in
-    /// their slots. Output is independent of the worker count (see the
-    /// crate docs' determinism contract).
+    /// Submits one run to a dispatch queue under `tenant`, never
+    /// blocking: opens the request's root span, stamps the enqueue, and
+    /// pushes. A refused push ends the span and hands the job back.
+    fn submit<R>(
+        &self,
+        queue: &FairQueue<Job<R>>,
+        tenant: u32,
+        req: RunRequest,
+        deadline: Deadline,
+        reply: R,
+    ) -> Result<(), TryPushError<Job<R>>> {
+        let req_span = self.span_start(SpanKind::Request, SpanId::NONE);
+        let enq_us = self.span_now_us();
+        let job = Job {
+            req,
+            deadline,
+            enqueued: Instant::now(),
+            req_span,
+            enq_us,
+            reply,
+        };
+        queue.try_push(tenant, job).inspect_err(|_| {
+            self.span_end(req_span, 0);
+        })?;
+        self.metrics.gauge("serve.edge.queue.depth").add(1);
+        self.span_complete(SpanKind::Enqueue, req_span, enq_us, self.span_now_us());
+        Ok(())
+    }
+
+    /// The dispatch loop every worker runs, whichever submitter fed the
+    /// queue. Pops jobs until the queue is closed and drained. A job whose
+    /// deadline expired while queued is shed, never executed; the rest
+    /// run with the engine's span tree grafted under the request. Each
+    /// answer goes to `deliver` with the job's tenant and reply route:
+    /// `Ok` with the result, or `Err(waited_us)` for a deadline shed.
+    fn dispatch_loop<R>(
+        &self,
+        queue: &FairQueue<Job<R>>,
+        mut deliver: impl FnMut(u32, R, Result<GuestResult, u64>),
+    ) {
+        let depth = self.metrics.gauge("serve.edge.queue.depth");
+        let wait = self.metrics.histogram("serve.edge.queue_wait_us");
+        let exec = self.metrics.histogram("serve.edge.exec_us");
+        while let Some((tenant, job)) = queue.pop() {
+            let waited_us = job.enqueued.elapsed().as_micros() as u64;
+            depth.sub(1);
+            wait.observe(waited_us);
+            // The queue-wait span joins the interval the histogram measures.
+            self.span_complete(
+                SpanKind::QueueWait,
+                job.req_span,
+                job.enq_us,
+                self.span_now_us(),
+            );
+            if job.deadline.expired() {
+                self.span_end(job.req_span, 0);
+                deliver(tenant, job.reply, Err(waited_us));
+                continue;
+            }
+            let dispatch = self.span_start(SpanKind::Dispatch, job.req_span);
+            let started = Instant::now();
+            let result = self.run_one_spanned(job.req, dispatch);
+            exec.observe(started.elapsed().as_micros() as u64);
+            self.span_end(dispatch, result.report.stats.cycles);
+            self.span_end(job.req_span, result.report.stats.cycles);
+            deliver(tenant, job.reply, Ok(result));
+        }
+    }
+
+    /// Executes a batch across the worker pool: every request is
+    /// submitted in slot order to a queue sized to the batch — so
+    /// submission never blocks or sheds — under one tenant with no
+    /// deadline. Then `shards` workers run the dispatch loop and land
+    /// each result in its slot. Output is independent of the worker
+    /// count (see the crate docs' determinism contract).
     ///
     /// # Panics
     ///
     /// Propagates a panic from any worker (a guest failing to halt is a
     /// harness bug, as in the bench crate).
     pub fn run_batch(&self, requests: &[RunRequest]) -> BatchReport {
-        // Queue items carry the request's span handle and its enqueue
-        // wall stamp so the draining shard can close the queue-wait span
-        // it never saw open.
-        type Item = (usize, RunRequest, Instant, SpanId, Option<u64>);
-        let queue: BoundedQueue<Item> = BoundedQueue::new(self.cfg.queue_depth);
+        let queue = FairQueue::new(requests.len());
+        for (slot, &req) in requests.iter().enumerate() {
+            if self
+                .submit(&queue, 0, req, Deadline::unbounded(), slot)
+                .is_err()
+            {
+                unreachable!("an open queue sized to the batch has room");
+            }
+        }
+        queue.close();
         let slots: Mutex<Vec<Option<GuestResult>>> =
             Mutex::new(requests.iter().map(|_| None).collect());
-        let depth = self.metrics.gauge("serve.queue.depth");
-        let wait = self.metrics.histogram("serve.queue.wait_us");
         std::thread::scope(|s| {
-            for shard in 0..self.cfg.shards.max(1) {
-                let shard_requests = self
-                    .metrics
-                    .counter(&format!("serve.shard.{shard}.requests"));
-                let (queue, slots, depth, wait) = (&queue, &slots, &depth, &wait);
-                s.spawn(move || {
-                    while let Some((slot, req, enqueued, req_span, enq_us)) = queue.pop() {
-                        depth.sub(1);
-                        wait.observe(enqueued.elapsed().as_micros() as u64);
-                        // The queue-wait span joins the same interval
-                        // `serve.queue.wait_us` measures, per request.
-                        self.span_complete(
-                            SpanKind::QueueWait,
-                            req_span,
-                            enq_us,
-                            self.span_now_us(),
-                        );
-                        let dispatch = self.span_start(SpanKind::Dispatch, req_span);
-                        let result = self.run_one_spanned(req, dispatch);
-                        self.span_end(dispatch, result.report.stats.cycles);
-                        self.span_end(req_span, result.report.stats.cycles);
-                        shard_requests.inc();
+            for _ in 0..self.cfg.shards.max(1) {
+                s.spawn(|| {
+                    self.dispatch_loop(&queue, |_, slot, result| {
+                        let result = result.expect("an unbounded deadline never expires");
                         slots.lock().expect("slot lock never poisoned")[slot] = Some(result);
-                    }
+                    })
                 });
             }
-            for (slot, &req) in requests.iter().enumerate() {
-                let req_span = self.span_start(SpanKind::Request, SpanId::NONE);
-                let push_us = self.span_now_us();
-                queue
-                    .push((slot, req, Instant::now(), req_span, push_us))
-                    .unwrap_or_else(|_| unreachable!("queue closes only after all pushes"));
-                depth.add(1);
-                self.span_complete(SpanKind::Enqueue, req_span, push_us, self.span_now_us());
-            }
-            queue.close();
         });
         let guests = slots
             .into_inner()
@@ -1367,13 +1422,13 @@ mod tests {
         assert!(m.counter("dbt.traps").get() > 0);
         assert!(m.counter("dbt.patches").get() > 0);
         assert!(m.counter("dbt.blocks_translated").get() > 0);
-        // Shard counters account for every request exactly once.
-        let per_shard: u64 = (0..2)
-            .map(|i| m.counter(&format!("serve.shard.{i}.requests")).get())
-            .sum();
-        assert_eq!(per_shard, reqs.len() as u64);
+        // The dispatch loop saw every request wait exactly once.
+        assert_eq!(
+            m.histogram("serve.edge.queue_wait_us").count(),
+            reqs.len() as u64
+        );
         // Queue drained, watermark bounded by what was ever enqueued.
-        let depth = m.gauge("serve.queue.depth");
+        let depth = m.gauge("serve.edge.queue.depth");
         assert_eq!(depth.get(), 0);
         assert!(depth.high_watermark() >= 0 && depth.high_watermark() <= reqs.len() as i64);
         // The first batch built each artifact once; re-running the same

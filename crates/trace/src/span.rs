@@ -55,12 +55,12 @@ pub enum SpanKind {
     ImageRestore,
     /// One request's whole lifetime in the serving layer.
     Request,
-    /// Request admission into the bounded work queue.
+    /// Request admission into the bounded dispatch queue.
     Enqueue,
-    /// Time between enqueue and a shard picking the request up (joined
-    /// to the `serve.queue.wait_us` histogram).
+    /// Time between enqueue and a worker picking the request up (joined
+    /// to the `serve.edge.queue_wait_us` histogram).
     QueueWait,
-    /// A vCPU shard executing the request (wraps the engine run).
+    /// A vCPU worker executing the request (wraps the engine run).
     Dispatch,
     /// Per-context warm start: image-store lookup, validation, restore.
     WarmStart,
@@ -153,7 +153,7 @@ pub struct SpanConfig {
     /// default: wall stamps make the span artifact nondeterministic,
     /// which engine-side consumers (deterministic flame output, byte-diff
     /// tests) must not see. The serving layer turns it on for its
-    /// wall-domain request lifecycle, following the `serve.queue.wait_us`
+    /// wall-domain request lifecycle, following the `serve.edge.queue_wait_us`
     /// precedent.
     pub wall_clock: bool,
 }
