@@ -43,7 +43,7 @@ grep -q "Shared translation cache (4 vCPUs" "$tmp/perf_stdout.txt"
 grep -Eq 'hint hit rate: +[0-9.]+% +\([1-9][0-9]* hits' "$tmp/perf_stdout.txt"
 grep -Eq 'fleet translations: +[0-9]+ private -> [0-9]+ shared' "$tmp/perf_stdout.txt"
 
-echo "== serve_bench smoke (scale test, byte-identical merge, CPU-aware floor at 4 shards, metrics exposition) =="
+echo "== serve_bench smoke (scale test, byte-identical merge, 2x amortization floor at 4 shards, metrics exposition) =="
 ./target/release/serve_bench --scale test >"$tmp/serve_stdout.txt"
 grep -q "serve_bench OK" "$tmp/serve_stdout.txt"
 grep -q '"schema":"bridge-metrics/1"' "$tmp/serve_stdout.txt"

@@ -10,12 +10,10 @@
 //! * the service's merged `Stats`, per-guest reports and memory
 //!   read-backs are byte-identical to the sequential baseline at every
 //!   shard count (checked inside `measure_serve` before timing), and
-//! * 4 shards beat the sequential baseline by the CPU-aware floor
-//!   (`serve_speedup_floor`): ≥2x on a single-core host — the pure
-//!   amortization win of sharing each kernel's training profile instead
-//!   of re-deriving it per request — and a higher bar when the host can
-//!   actually run the shards in parallel over the shared translation
-//!   cache.
+//! * 4 shards beat the sequential baseline by `SERVE_SPEEDUP_FLOOR`
+//!   (≥2x): the amortization win of sharing each kernel's training
+//!   profile instead of re-deriving it per request. Host parallelism is
+//!   printed beside it, not asserted on.
 //!
 //! After the traced merge pass, the service's metrics registry is dumped
 //! twice: as the single-line `bridge-metrics/1` JSON document and as a
@@ -23,8 +21,8 @@
 //! collector would consume.
 
 use bridge_bench::serve::{
-    available_parallelism, measure_serve, measure_warm_start, serve_speedup_floor,
-    throughput_batch, warm_start_batch,
+    available_parallelism, measure_serve, measure_warm_start, throughput_batch, warm_start_batch,
+    SERVE_SPEEDUP_FLOOR,
 };
 use bridge_dbt::MdaStrategy;
 use bridge_serve::{ExecService, RunRequest, ServeConfig};
@@ -68,13 +66,14 @@ fn main() {
         "\n  merged: {} cycles, {} traps (identical on every path)",
         at4.merged_cycles, at4.merged_traps
     );
-    let par = available_parallelism();
-    let floor = serve_speedup_floor(par);
-    println!("  host parallelism: {par} (speedup floor {floor:.2}x)");
+    let floor = SERVE_SPEEDUP_FLOOR;
+    println!(
+        "  host parallelism: {} (speedup floor {floor:.2}x)",
+        available_parallelism()
+    );
     assert!(
         at4.speedup >= floor,
-        "service at 4 shards must be >= {floor:.2}x over sequential on a \
-         {par}-way host (got {:.2}x)",
+        "service at 4 shards must be >= {floor:.2}x over sequential (got {:.2}x)",
         at4.speedup
     );
 
@@ -102,8 +101,8 @@ fn main() {
 
     // The registry that batch fed, in both scrape formats. The simulated-
     // domain instruments (request counts, exec-cycle histogram, engine
-    // counters) are deterministic; the wall-clock wait histogram and the
-    // per-shard split are scheduling-dependent by design.
+    // counters) are deterministic; the wall-clock wait and exec
+    // histograms are scheduling-dependent by design.
     let metrics = svc.metrics();
     println!("\nservice metrics ({} instruments):", metrics.len());
     println!("{}", metrics.to_json());
