@@ -187,11 +187,14 @@ impl EdgeConfig {
     }
 }
 
+/// A connection's write half, shared by its reader and the dispatch workers.
+type Conn = Arc<Mutex<dyn Write + Send>>;
+
 /// Where an admitted run's answer goes: the client's request id and its
 /// connection's write half.
 struct Reply {
     id: u64,
-    conn: Arc<Mutex<TcpStream>>,
+    conn: Conn,
 }
 
 /// State shared by the acceptor, per-connection readers and dispatch
@@ -212,11 +215,12 @@ impl EdgeShared {
             .record(0, event);
     }
 
-    fn count(&self, status: EdgeStatus) {
-        self.svc
-            .metrics
-            .counter(&format!("serve.edge.{}", status.tag()))
-            .inc();
+    /// Counts `status` in `serve.edge.*` and answers `id` with it and an
+    /// empty body.
+    fn refuse(&self, conn: &Conn, id: u64, status: EdgeStatus) {
+        let name = format!("serve.edge.{}", status.tag());
+        self.svc.metrics.counter(&name).inc();
+        answer(conn, Frame::response(id, status, BODY_EMPTY, 0));
     }
 
     /// Admission for one decoded run request: deadline, quota, fair
@@ -224,7 +228,7 @@ impl EdgeShared {
     /// (the caller has already counted `serve.edge.requests`).
     fn admit(
         &self,
-        conn: &Arc<Mutex<TcpStream>>,
+        conn: &Conn,
         id: u64,
         tenant: u32,
         deadline: Deadline,
@@ -283,28 +287,26 @@ impl EdgeShared {
     fn deliver(&self, tenant: u32, reply: Reply, result: Result<GuestResult, u64>) {
         match result {
             Err(waited_us) => {
-                self.count(EdgeStatus::ShedDeadlineQueued);
                 self.record(TraceEvent::EdgeDeadline {
                     tenant,
                     id: reply.id,
                     waited_us,
                 });
-                write_response(&reply.conn, reply.id, EdgeStatus::ShedDeadlineQueued, &[]);
+                self.refuse(&reply.conn, reply.id, EdgeStatus::ShedDeadlineQueued);
             }
             Ok(result) => {
-                self.count(EdgeStatus::Ok);
-                let mut body = vec![BODY_RUN];
-                put_u64(&mut body, result.report.stats.cycles);
+                self.svc.metrics.counter("serve.edge.ok").inc();
                 let text = result.report.to_string();
-                put_u32(&mut body, text.len() as u32);
-                body.extend_from_slice(text.as_bytes());
-                put_u32(&mut body, result.memory.len() as u32);
+                let memory: usize = result.memory.iter().map(|(_, b)| 8 + b.len()).sum();
+                let mut f =
+                    Frame::response(reply.id, EdgeStatus::Ok, BODY_RUN, 16 + text.len() + memory)
+                        .put(result.report.stats.cycles.to_le_bytes())
+                        .blob(text.as_bytes())
+                        .put((result.memory.len() as u32).to_le_bytes());
                 for (addr, bytes) in &result.memory {
-                    put_u32(&mut body, *addr);
-                    put_u32(&mut body, bytes.len() as u32);
-                    body.extend_from_slice(bytes);
+                    f = f.put(addr.to_le_bytes()).blob(bytes);
                 }
-                write_response_raw(&reply.conn, reply.id, EdgeStatus::Ok, &body);
+                answer(&reply.conn, f);
             }
         }
         self.ledger.release(tenant);
@@ -322,25 +324,37 @@ impl EdgeShared {
     /// Serves one connection's read half until EOF or shutdown.
     fn serve_conn(&self, stream: TcpStream) {
         self.svc.metrics.counter("serve.edge.connections").inc();
+        // Frames leave whole (see `Frame`); Nagle would only delay them.
+        let _ = stream.set_nodelay(true);
         let Ok(write_half) = stream.try_clone() else {
             return;
         };
-        let conn = Arc::new(Mutex::new(write_half));
+        let conn: Conn = Arc::new(Mutex::new(write_half));
         let mut reader = stream;
-        while let Ok(Some(frame)) = read_frame(&mut reader) {
-            self.handle_frame(&conn, &frame);
+        loop {
+            match read_frame(&mut reader) {
+                Ok(Some(frame)) => self.handle_frame(&conn, &frame),
+                // An oversize length prefix: the stream cannot be
+                // resynchronised, so refuse it and close. Runs already
+                // admitted keep the write half until they are answered.
+                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                    self.svc.metrics.counter("serve.edge.requests").inc();
+                    self.refuse(&conn, 0, EdgeStatus::BadRequest);
+                    break;
+                }
+                _ => break,
+            }
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
         }
     }
 
-    fn handle_frame(&self, conn: &Arc<Mutex<TcpStream>>, frame: &[u8]) {
+    fn handle_frame(&self, conn: &Conn, frame: &[u8]) {
         self.svc.metrics.counter("serve.edge.requests").inc();
         let mut rd = Rd { b: frame, pos: 0 };
         let Some(op) = rd.u8() else {
-            self.count(EdgeStatus::BadRequest);
-            write_response(conn, 0, EdgeStatus::BadRequest, &[]);
+            self.refuse(conn, 0, EdgeStatus::BadRequest);
             return;
         };
         match op {
@@ -377,14 +391,12 @@ impl EdgeShared {
                                 .and_then(|s| s.try_into().ok())
                                 .unwrap_or([0; 8]),
                         );
-                        self.count(EdgeStatus::BadRequest);
-                        write_response(conn, id, EdgeStatus::BadRequest, &[]);
+                        self.refuse(conn, id, EdgeStatus::BadRequest);
                     }
                     Some((id, tenant, deadline, req)) => {
                         let verdict = self.admit(conn, id, tenant, deadline, req);
                         if verdict != EdgeStatus::Ok {
-                            self.count(verdict);
-                            write_response(conn, id, verdict, &[]);
+                            self.refuse(conn, id, verdict);
                         }
                         // Admitted: the dispatch worker writes the
                         // response when the run completes (or sheds it
@@ -405,15 +417,10 @@ impl EdgeShared {
                         lines
                     }
                 };
-                let mut body = vec![BODY_TEXT];
-                put_u32(&mut body, text.len() as u32);
-                body.extend_from_slice(text.as_bytes());
-                write_response_raw(conn, id, EdgeStatus::Ok, &body);
+                let f = Frame::response(id, EdgeStatus::Ok, BODY_TEXT, 4 + text.len());
+                answer(conn, f.blob(text.as_bytes()));
             }
-            _ => {
-                self.count(EdgeStatus::BadRequest);
-                write_response(conn, 0, EdgeStatus::BadRequest, &[]);
-            }
+            _ => self.refuse(conn, 0, EdgeStatus::BadRequest),
         }
     }
 }
@@ -516,9 +523,9 @@ impl EdgeServer {
             let _ = h.join();
         }
         while let Some((tenant, job)) = self.shared.queue.pop() {
-            self.shared.count(EdgeStatus::ShuttingDown);
             self.shared.svc.span_end(job.req_span, 0);
-            write_response(&job.reply.conn, job.reply.id, EdgeStatus::ShuttingDown, &[]);
+            let Reply { id, conn } = job.reply;
+            self.shared.refuse(&conn, id, EdgeStatus::ShuttingDown);
             self.shared.ledger.release(tenant);
         }
     }
@@ -580,18 +587,7 @@ impl EdgeClient {
         deadline_ms: u32,
         req: RunRequest,
     ) -> std::io::Result<()> {
-        let (tag, a, b) = req.kernel.to_wire();
-        let mut p = vec![OP_RUN];
-        put_u64(&mut p, id);
-        put_u32(&mut p, tenant);
-        put_u32(&mut p, deadline_ms);
-        p.push(tag);
-        put_u32(&mut p, a);
-        put_u32(&mut p, b);
-        p.push(strategy_to_u8(req.strategy));
-        put_u64(&mut p, req.hot_threshold);
-        p.push(u8::from(req.trace));
-        write_frame(&mut self.stream, &p)
+        run_request(id, tenant, deadline_ms, req).send(&mut self.stream)
     }
 
     /// Reads the next response frame.
@@ -624,12 +620,7 @@ impl EdgeClient {
     }
 
     fn fetch_text(&mut self, op: u8) -> std::io::Result<String> {
-        let p = {
-            let mut p = vec![op];
-            put_u64(&mut p, 0);
-            p
-        };
-        write_frame(&mut self.stream, &p)?;
+        scrape_request(op).send(&mut self.stream)?;
         let resp = self.read_response()?;
         resp.text
             .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no text body"))
@@ -725,32 +716,80 @@ fn decode_response(frame: &[u8]) -> Option<EdgeResponse> {
     Some(resp)
 }
 
-fn write_response(conn: &Arc<Mutex<TcpStream>>, id: u64, status: EdgeStatus, body: &[u8]) {
-    debug_assert!(body.is_empty());
-    write_response_raw(conn, id, status, &[BODY_EMPTY]);
+/// One outgoing frame, encoded in place: the u32 length is reserved up
+/// front and patched by [`Frame::send`], so the frame is allocated once
+/// and leaves in one write (a length prefix written on its own waits on
+/// Nagle and the peer's delayed ACK, about 40 ms).
+struct Frame(Vec<u8>);
+
+impl Frame {
+    /// An empty frame with room for a `payload`-byte payload.
+    fn with_capacity(payload: usize) -> Frame {
+        let mut buf = Vec::with_capacity(4 + payload);
+        buf.extend_from_slice(&[0; 4]);
+        Frame(buf)
+    }
+
+    /// A response head (id, status, body kind) with room for the body.
+    fn response(id: u64, status: EdgeStatus, kind: u8, body: usize) -> Frame {
+        let status = status.code() as u8;
+        Frame::with_capacity(10 + body)
+            .put(id.to_le_bytes())
+            .put([status, kind])
+    }
+
+    /// Appends raw bytes; integers go in as `to_le_bytes()`.
+    fn put(mut self, bytes: impl AsRef<[u8]>) -> Frame {
+        self.0.extend_from_slice(bytes.as_ref());
+        self
+    }
+
+    /// Appends a u32 length, then the bytes.
+    fn blob(self, bytes: &[u8]) -> Frame {
+        self.put((bytes.len() as u32).to_le_bytes()).put(bytes)
+    }
+
+    /// Patches the length prefix and writes the frame in one `write_all`.
+    fn send<W: Write + ?Sized>(mut self, w: &mut W) -> std::io::Result<()> {
+        let len = (self.0.len() - 4) as u32;
+        self.0[..4].copy_from_slice(&len.to_le_bytes());
+        w.write_all(&self.0)?;
+        w.flush()
+    }
 }
 
-/// Writes one response frame under the connection's write lock — frames
-/// from the reader (sheds) and the workers (results) interleave whole,
-/// never torn. Write errors are swallowed: a client that hung up
-/// forfeits its responses, it does not take a worker down.
-fn write_response_raw(conn: &Arc<Mutex<TcpStream>>, id: u64, status: EdgeStatus, body: &[u8]) {
-    let mut p = Vec::with_capacity(9 + body.len());
-    put_u64(&mut p, id);
-    p.push(status.code() as u8);
-    p.extend_from_slice(body);
-    let mut stream = conn.lock().expect("conn write lock never poisoned");
-    let _ = write_frame(&mut *stream, &p);
+/// Sends one response under the connection's write lock, so frames from
+/// the reader (sheds, scrapes) and the workers (results) interleave
+/// whole. Write errors are swallowed: a client that hung up forfeits its
+/// responses, it does not take a worker down.
+fn answer(conn: &Conn, frame: Frame) {
+    let mut w = conn.lock().expect("conn write lock never poisoned");
+    let _ = frame.send(&mut *w);
 }
 
-fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+/// An `OP_RUN` request frame.
+fn run_request(id: u64, tenant: u32, deadline_ms: u32, req: RunRequest) -> Frame {
+    let (tag, a, b) = req.kernel.to_wire();
+    Frame::with_capacity(36)
+        .put([OP_RUN])
+        .put(id.to_le_bytes())
+        .put(tenant.to_le_bytes())
+        .put(deadline_ms.to_le_bytes())
+        .put([tag])
+        .put(a.to_le_bytes())
+        .put(b.to_le_bytes())
+        .put([strategy_to_u8(req.strategy)])
+        .put(req.hot_threshold.to_le_bytes())
+        .put([u8::from(req.trace)])
+}
+
+/// A scrape request frame: the opcode and id 0.
+fn scrape_request(op: u8) -> Frame {
+    Frame::with_capacity(9).put([op]).put(0u64.to_le_bytes())
 }
 
 /// Reads one length-prefixed frame; `None` on clean EOF at a frame
-/// boundary.
+/// boundary, `InvalidData` on a length over `MAX_FRAME`.
 fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     if let Err(e) = r.read_exact(&mut len) {
@@ -770,14 +809,6 @@ fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>>> {
     let mut buf = vec![0u8; n];
     r.read_exact(&mut buf)?;
     Ok(Some(buf))
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 fn strategy_to_u8(s: MdaStrategy) -> u8 {
@@ -1004,8 +1035,7 @@ mod tests {
         // Drive the admission path directly with a deadline that is
         // already dead — the wire path cannot manufacture one
         // deterministically (budgets start at decode time).
-        let throwaway = TcpStream::connect(edge.addr()).unwrap();
-        let conn = Arc::new(Mutex::new(throwaway));
+        let conn: Conn = Arc::new(Mutex::new(std::io::sink()));
         let verdict = edge
             .shared
             .admit(&conn, 9, 3, Deadline::within_ms(0), requests()[1]);
@@ -1085,27 +1115,21 @@ mod tests {
         let edge = EdgeServer::start(EdgeConfig::default().with_workers(1)).unwrap();
         let mut client = EdgeClient::connect(edge.addr()).unwrap();
         // Unknown opcode.
-        write_frame(&mut client.stream, &[0xEE]).unwrap();
+        let bogus_op = Frame::with_capacity(1).put([0xEE]);
+        bogus_op.send(&mut client.stream).unwrap();
         let resp = client.read_response().unwrap();
         assert_eq!(resp.status, EdgeStatus::BadRequest);
         // Truncated run payload: opcode + id only. The id still echoes.
-        let mut p = vec![OP_RUN];
-        put_u64(&mut p, 42);
-        write_frame(&mut client.stream, &p).unwrap();
+        let truncated = Frame::with_capacity(9)
+            .put([OP_RUN])
+            .put(42u64.to_le_bytes());
+        truncated.send(&mut client.stream).unwrap();
         let resp = client.read_response().unwrap();
         assert_eq!((resp.id, resp.status), (42, EdgeStatus::BadRequest));
         // Unknown kernel tag.
-        let mut p = vec![OP_RUN];
-        put_u64(&mut p, 43);
-        put_u32(&mut p, 1); // tenant
-        put_u32(&mut p, 0); // deadline
-        p.push(99); // bogus spec tag
-        put_u32(&mut p, 0);
-        put_u32(&mut p, 0);
-        p.push(0);
-        put_u64(&mut p, 50);
-        p.push(0);
-        write_frame(&mut client.stream, &p).unwrap();
+        let mut bogus_tag = run_request(43, 1, 0, requests()[1]);
+        bogus_tag.0[4 + 17] = 99; // after length, opcode, id, tenant, deadline
+        bogus_tag.send(&mut client.stream).unwrap();
         let resp = client.read_response().unwrap();
         assert_eq!((resp.id, resp.status), (43, EdgeStatus::BadRequest));
         // The connection still serves valid requests afterwards.
@@ -1118,6 +1142,130 @@ mod tests {
                 .get(),
             3
         );
+        edge.shutdown();
+    }
+
+    /// A length prefix over `MAX_FRAME` gets a typed refusal, then the
+    /// connection closes (the stream cannot be resynchronised); a fresh
+    /// connection is still served.
+    #[test]
+    fn oversize_frame_refused_then_closed() {
+        let edge = EdgeServer::start(EdgeConfig::default().with_workers(1)).unwrap();
+        let bad_requests = || {
+            edge.service()
+                .metrics()
+                .counter("serve.edge.bad_request")
+                .get()
+        };
+        let before = bad_requests();
+        let mut client = EdgeClient::connect(edge.addr()).unwrap();
+        let oversize = (MAX_FRAME as u32 + 1).to_le_bytes();
+        client.stream.write_all(&oversize).unwrap();
+        let resp = client.read_response().unwrap();
+        assert_eq!((resp.id, resp.status), (0, EdgeStatus::BadRequest));
+        assert_eq!(
+            client.read_response().unwrap_err().kind(),
+            std::io::ErrorKind::UnexpectedEof,
+            "the refused connection is closed"
+        );
+        assert_eq!(bad_requests(), before + 1);
+        let mut fresh = EdgeClient::connect(edge.addr()).unwrap();
+        let resp = fresh.run(1, 1, 0, requests()[1]).unwrap();
+        assert_eq!((resp.id, resp.status), (1, EdgeStatus::Ok));
+        edge.shutdown();
+    }
+
+    /// Records each `write` call whole.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Splits recorded writes into frame payloads, asserting that each
+    /// write is exactly one frame with a correct length prefix.
+    fn one_frame_per_write(w: &CountingWriter) -> Vec<Vec<u8>> {
+        w.writes
+            .iter()
+            .map(|write| {
+                let len = u32::from_le_bytes(write[..4].try_into().unwrap()) as usize;
+                assert_eq!(len + 4, write.len(), "a write holds one whole frame");
+                write[4..].to_vec()
+            })
+            .collect()
+    }
+
+    /// Every frame kind the edge or the client sends leaves in exactly
+    /// one `write`: a length prefix sent on its own would wait on Nagle
+    /// and the peer's delayed ACK.
+    #[test]
+    fn every_frame_leaves_in_one_write() {
+        let edge = EdgeServer::start(
+            EdgeConfig::default()
+                .with_workers(0)
+                .with_queue_depth(2)
+                .with_per_tenant_inflight(1),
+        )
+        .unwrap();
+        let sh = &edge.shared;
+        let out = Arc::new(Mutex::new(CountingWriter::default()));
+        let conn: Conn = out.clone();
+        let req = requests()[1];
+        let run =
+            |id, tenant, deadline_ms| run_request(id, tenant, deadline_ms, req).0[4..].to_vec();
+        sh.handle_frame(&conn, &run(1, 1, 0)); // admitted
+        sh.handle_frame(&conn, &run(2, 1, 0)); // tenant 1 over quota
+        sh.handle_frame(&conn, &run(3, 2, 1)); // admitted, 1 ms budget
+        sh.handle_frame(&conn, &run(4, 3, 0)); // queue full
+        sh.handle_frame(&conn, &[0xEE]); // unknown opcode
+        sh.handle_frame(&conn, &scrape_request(OP_HEALTH).0[4..]);
+        let verdict = sh.admit(&conn, 5, 4, Deadline::within_ms(0), req);
+        sh.refuse(&conn, 5, verdict);
+        // Let run 3's budget die in the queue, then drain it the way a
+        // worker would: run 1 executes, run 3 is shed.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        sh.queue.close();
+        sh.work();
+        sh.handle_frame(&conn, &run(6, 5, 0)); // queue closed
+        let frames = one_frame_per_write(&out.lock().unwrap());
+        let got: Vec<_> = frames
+            .iter()
+            .map(|f| {
+                let r = decode_response(f).expect("well-formed response");
+                (r.id, r.status, r.outcome.is_some(), r.text.is_some())
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (2, EdgeStatus::ShedQuota, false, false),
+                (4, EdgeStatus::ShedQueueFull, false, false),
+                (0, EdgeStatus::BadRequest, false, false),
+                (0, EdgeStatus::Ok, false, true),
+                (5, EdgeStatus::ShedDeadline, false, false),
+                (1, EdgeStatus::Ok, true, false),
+                (3, EdgeStatus::ShedDeadlineQueued, false, false),
+                (6, EdgeStatus::ShuttingDown, false, false),
+            ]
+        );
+        // Both client request kinds.
+        let mut client = CountingWriter::default();
+        run_request(7, 1, 0, req).send(&mut client).unwrap();
+        scrape_request(OP_METRICS_PROM).send(&mut client).unwrap();
+        let frames = one_frame_per_write(&client);
+        assert_eq!(frames.len(), 2);
+        assert_eq!((frames[0][0], frames[0].len()), (OP_RUN, 36));
+        assert_eq!((frames[1][0], frames[1].len()), (OP_METRICS_PROM, 9));
         edge.shutdown();
     }
 
