@@ -27,12 +27,14 @@ mkdir -p "$tmp/serial" "$tmp/par"
 (cd "$tmp/par" && "$OLDPWD/target/release/repro_all" --scale test --jobs 4 >stdout.txt)
 diff -r "$tmp/serial/results" "$tmp/par/results"
 
-echo "== benchmark repro smoke (all 13 experiment tables hashed against benchmark/golden/) =="
-# Exits nonzero on any table-hash drift, so a change to the paper's numbers
-# cannot pass CI unnoticed.
+echo "== benchmark smoke (all four workloads: experiment tables and edge answers against benchmark/golden/) =="
+# Exits nonzero on any drift: repro hashes all 13 experiment tables, and
+# each edge workload checks its golden pins and compares socket answers
+# with the in-process service. So neither the paper's numbers nor the
+# edge's answers can change unnoticed.
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml --bin benchmark -- \
-    --workload repro --smoke >"$tmp/bench_repro.txt"
-grep -q '"correct": true' "$tmp/bench_repro.txt"
+    run --smoke >"$tmp/bench_smoke.txt"
+test "$(grep -c '"correct": true' "$tmp/bench_smoke.txt")" -eq 4
 
 echo "== perf bench (scale test) + BENCH json schema =="
 (cd "$tmp" && "$OLDPWD/target/release/perf" --scale test >perf_stdout.txt)
