@@ -44,14 +44,7 @@
 //!    service over the populated store (warm — restore). Warm results
 //!    must be byte-identical to cold and the warm first batch must
 //!    translate ≥5x fewer blocks (in practice ≈0);
-//! 8. **network edge under load**: a 1000-request pipelined storm over a
-//!    real loopback socket into the serve edge (`bridge-edge/1`), with
-//!    bounded admission shedding the overload. Asserts the typed
-//!    accounting balances exactly (Ok + sheds == submitted), every Ok
-//!    outcome is byte-identical to the in-process service, and shed
-//!    requests never reach an engine; reports queue-wait and dispatch
-//!    latency p50/p99 from the `serve.edge.*` histograms;
-//! 9. **per-experiment wall-clock** for the full `repro_all` suite (one
+//! 8. **per-experiment wall-clock** for the full `repro_all` suite (one
 //!    worker, superblock engine), so regressions in any one experiment are
 //!    visible.
 //!
@@ -952,34 +945,7 @@ fn main() {
         warm.translation_reduction
     );
 
-    // 8. Network edge under load: a pipelined real-socket storm with
-    //    overload shedding. Accounting balance, byte identity and
-    //    never-execute-stale are asserted inside measure_edge_load.
-    let edge = bridge_bench::serve::measure_edge_load(8, 125, 4, 64);
-    println!(
-        "Serve edge load ({} requests, {} connections, {} workers, queue {}):",
-        edge.submitted, edge.connections, edge.workers, edge.queue_depth
-    );
-    println!(
-        "  completed: {:>6}  shed: {} queue-full, {} quota, {} deadline, {} deadline-queued",
-        edge.completed,
-        edge.shed_queue_full,
-        edge.shed_quota,
-        edge.shed_deadline,
-        edge.shed_deadline_queued
-    );
-    println!(
-        "  wall {:.3}s ({:.0} completed/s); queue wait p50/p99 {}us/{}us; \
-         exec p50/p99 {}us/{}us\n",
-        edge.secs_wall,
-        edge.throughput_rps,
-        edge.queue_wait_p50_us,
-        edge.queue_wait_p99_us,
-        edge.exec_p50_us,
-        edge.exec_p99_us
-    );
-
-    // 9. Per-experiment wall-clock, superblock engine, one worker.
+    // 8. Per-experiment wall-clock, superblock engine, one worker.
     let results = bridge_bench::run_experiments_parallel(scale, 1);
     println!("Per-experiment wall-clock (1 worker):");
     for (name, _, took) in &results {
@@ -990,7 +956,7 @@ fn main() {
 
     // Emit BENCH_simulator.json (hand-rolled: no serde in-tree).
     let mut j = String::from("{\n");
-    let _ = writeln!(j, "  \"schema\": \"digitalbridge-sim-perf/10\",");
+    let _ = writeln!(j, "  \"schema\": \"digitalbridge-sim-perf/11\",");
     let _ = writeln!(j, "  \"scale_outer_iters\": {},", scale.outer_iters);
     let _ = writeln!(j, "  \"mips\": {{");
     let _ = writeln!(j, "    \"kernel_insns\": {insns},");
@@ -1154,33 +1120,6 @@ fn main() {
     let _ = writeln!(j, "    \"images_loaded\": {},", warm.images_loaded);
     let _ = writeln!(j, "    \"blocks_preloaded\": {},", warm.blocks_preloaded);
     let _ = writeln!(j, "    \"image_hits\": {},", warm.image_hits);
-    let _ = writeln!(j, "    \"stats_equal\": true");
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"edge\": {{");
-    let _ = writeln!(j, "    \"protocol\": \"bridge-edge/1\",");
-    let _ = writeln!(j, "    \"submitted\": {},", edge.submitted);
-    let _ = writeln!(j, "    \"connections\": {},", edge.connections);
-    let _ = writeln!(j, "    \"tenants\": {},", edge.tenants);
-    let _ = writeln!(j, "    \"workers\": {},", edge.workers);
-    let _ = writeln!(j, "    \"queue_depth\": {},", edge.queue_depth);
-    let _ = writeln!(j, "    \"admitted\": {},", edge.admitted);
-    let _ = writeln!(j, "    \"completed\": {},", edge.completed);
-    let _ = writeln!(j, "    \"shed_queue_full\": {},", edge.shed_queue_full);
-    let _ = writeln!(j, "    \"shed_quota\": {},", edge.shed_quota);
-    let _ = writeln!(j, "    \"shed_deadline\": {},", edge.shed_deadline);
-    let _ = writeln!(
-        j,
-        "    \"shed_deadline_queued\": {},",
-        edge.shed_deadline_queued
-    );
-    let _ = writeln!(j, "    \"engine_requests\": {},", edge.engine_requests);
-    let _ = writeln!(j, "    \"secs_wall\": {:.4},", edge.secs_wall);
-    let _ = writeln!(j, "    \"throughput_rps\": {:.1},", edge.throughput_rps);
-    let _ = writeln!(j, "    \"queue_wait_p50_us\": {},", edge.queue_wait_p50_us);
-    let _ = writeln!(j, "    \"queue_wait_p99_us\": {},", edge.queue_wait_p99_us);
-    let _ = writeln!(j, "    \"exec_p50_us\": {},", edge.exec_p50_us);
-    let _ = writeln!(j, "    \"exec_p99_us\": {},", edge.exec_p99_us);
-    let _ = writeln!(j, "    \"responses_balance\": true,");
     let _ = writeln!(j, "    \"stats_equal\": true");
     let _ = writeln!(j, "  }},");
     let _ = writeln!(j, "  \"experiments\": [");

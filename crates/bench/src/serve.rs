@@ -1,5 +1,5 @@
-//! Multi-guest service throughput measurement, shared by the
-//! `serve_bench` binary and the `perf` harness's serve section.
+//! Multi-guest service throughput and AOT warm-start measurements, used
+//! by the `perf` harness's serve and warm-start sections.
 //!
 //! The comparison is service-vs-naive on the **same batch**: the
 //! sequential baseline re-derives every per-kernel artifact (the built
@@ -179,7 +179,7 @@ pub struct WarmStartMeasurement {
     /// Engine installs served by image-restored blocks in the warm run.
     pub image_block_hits: u64,
     /// The warm service's full Prometheus exposition (carries the
-    /// `serve_warm_start_*` counter families CI greps for).
+    /// `serve_warm_start_*` counter families).
     pub warm_prometheus: String,
 }
 
@@ -277,233 +277,6 @@ pub fn measure_warm_start(dir: &Path, batch: &[RunRequest]) -> WarmStartMeasurem
     m
 }
 
-/// One edge load measurement: a real-socket request storm with full
-/// shed accounting, latency percentiles and the byte-identity witness.
-#[derive(Debug, Clone)]
-pub struct EdgeLoadMeasurement {
-    /// Run requests written to sockets.
-    pub submitted: u64,
-    /// Client connections driving the storm.
-    pub connections: usize,
-    /// Distinct tenants across the storm.
-    pub tenants: usize,
-    /// Dispatch workers draining the edge queue.
-    pub workers: usize,
-    /// Admission queue capacity.
-    pub queue_depth: usize,
-    /// Requests admitted past quota + queue.
-    pub admitted: u64,
-    /// Requests executed to an `Ok` response.
-    pub completed: u64,
-    /// Typed rejections: bounded queue full.
-    pub shed_queue_full: u64,
-    /// Typed rejections: tenant over its in-flight quota.
-    pub shed_quota: u64,
-    /// Typed rejections: deadline dead at admission.
-    pub shed_deadline: u64,
-    /// Typed rejections: deadline died while queued (never executed).
-    pub shed_deadline_queued: u64,
-    /// Engine-level requests actually run (`serve.requests`) — must
-    /// equal `completed`: shed work never reaches an engine.
-    pub engine_requests: u64,
-    /// Wall-clock for the whole storm (submit to last response).
-    pub secs_wall: f64,
-    /// Completed responses per wall second.
-    pub throughput_rps: f64,
-    /// Queue-wait p50, microseconds (log2-bucket upper bound).
-    pub queue_wait_p50_us: u64,
-    /// Queue-wait p99, microseconds.
-    pub queue_wait_p99_us: u64,
-    /// Dispatch-to-response p50, microseconds.
-    pub exec_p50_us: u64,
-    /// Dispatch-to-response p99, microseconds.
-    pub exec_p99_us: u64,
-}
-
-impl EdgeLoadMeasurement {
-    /// Total typed sheds.
-    pub fn shed_total(&self) -> u64 {
-        self.shed_queue_full + self.shed_quota + self.shed_deadline + self.shed_deadline_queued
-    }
-}
-
-/// Drives `total` pipelined run requests from `connections` client
-/// threads through a real TCP socket into an [`EdgeServer`], then
-/// verifies the three load contracts before reporting:
-///
-/// - **nothing vanishes** — every submission came back as exactly one
-///   `Ok` or one typed shed, and the tallies balance;
-/// - **byte identity** — every `Ok` outcome (cycles, report text, final
-///   memory) equals the in-process [`ExecService::run_one`] result for
-///   the same request;
-/// - **stale work never runs** — the engine-level request counter equals
-///   the `Ok` count, so shed requests (including queue-expired
-///   deadlines) never touched an engine.
-///
-/// A slice of the storm (`1/8`) carries 1ms deadlines so the
-/// deadline-shed path is exercised under real contention.
-///
-/// # Panics
-///
-/// Panics if any contract fails, if a socket errors, or if a response
-/// cannot be decoded — a load result that miscounts is worthless.
-pub fn measure_edge_load(
-    connections: usize,
-    per_connection: usize,
-    workers: usize,
-    queue_depth: usize,
-) -> EdgeLoadMeasurement {
-    use bridge_serve::edge::RunOutcome;
-    use bridge_serve::{EdgeClient, EdgeConfig, EdgeServer, EdgeStatus};
-    use std::collections::HashMap;
-
-    let tenants = connections.max(1);
-    let specs = [
-        RunRequest::new(
-            KernelSpec::MemcpyUnaligned { len: 64 },
-            MdaStrategy::ExceptionHandling,
-        )
-        .with_threshold(10),
-        RunRequest::new(
-            KernelSpec::PhaseChangeSum {
-                aligned: 40,
-                misaligned: 40,
-            },
-            MdaStrategy::Dpeh,
-        )
-        .with_threshold(10),
-        RunRequest::new(
-            KernelSpec::PackedStructSum { count: 40 },
-            MdaStrategy::Direct,
-        )
-        .with_threshold(10),
-    ];
-
-    // Reference outcomes from an in-process service: the byte-identity
-    // oracle every Ok response is compared against.
-    let reference = ExecService::new(ServeConfig::default());
-    let expected: HashMap<RunRequest, RunOutcome> = specs
-        .iter()
-        .map(|&req| {
-            let g = reference.run_one(req);
-            (
-                req,
-                RunOutcome {
-                    cycles: g.report.stats.cycles,
-                    report_text: g.report.to_string(),
-                    memory: g.memory,
-                },
-            )
-        })
-        .collect();
-    let expected = std::sync::Arc::new(expected);
-
-    let edge = EdgeServer::start(
-        EdgeConfig::default()
-            .with_workers(workers)
-            .with_queue_depth(queue_depth)
-            .with_per_tenant_inflight(queue_depth),
-    )
-    .expect("edge binds loopback");
-    let addr = edge.addr();
-
-    let start = Instant::now();
-    let handles: Vec<_> = (0..connections)
-        .map(|c| {
-            let expected = std::sync::Arc::clone(&expected);
-            std::thread::spawn(move || {
-                let mut client = EdgeClient::connect(addr).expect("client connects");
-                // Pipeline the whole window, then drain the responses.
-                for i in 0..per_connection {
-                    let req = specs[(c + i) % specs.len()];
-                    // One request in eight races a 1ms deadline.
-                    let deadline_ms = if i % 8 == 7 { 1 } else { 0 };
-                    client
-                        .submit_run(i as u64, c as u32, deadline_ms, req)
-                        .expect("submit");
-                }
-                let mut ok = 0u64;
-                let mut shed = 0u64;
-                for _ in 0..per_connection {
-                    let resp = client.read_response().expect("every request is answered");
-                    match resp.status {
-                        EdgeStatus::Ok => {
-                            let req = specs[(c + resp.id as usize) % specs.len()];
-                            let out = resp.outcome.expect("ok response carries the run");
-                            assert_eq!(
-                                &out,
-                                expected.get(&req).expect("known request"),
-                                "socket result diverged from the in-process service"
-                            );
-                            ok += 1;
-                        }
-                        status => {
-                            assert!(status.is_shed(), "non-ok response must be a typed shed");
-                            shed += 1;
-                        }
-                    }
-                }
-                (ok, shed)
-            })
-        })
-        .collect();
-
-    let mut ok_responses = 0u64;
-    let mut shed_responses = 0u64;
-    for h in handles {
-        let (ok, shed) = h.join().expect("client thread");
-        ok_responses += ok;
-        shed_responses += shed;
-    }
-    let secs_wall = start.elapsed().as_secs_f64();
-
-    let submitted = (connections * per_connection) as u64;
-    assert_eq!(
-        ok_responses + shed_responses,
-        submitted,
-        "every submission must be answered exactly once"
-    );
-
-    let m = std::sync::Arc::clone(edge.service().metrics());
-    let counter = |name: &str| m.counter(name).get();
-    let measurement = EdgeLoadMeasurement {
-        submitted,
-        connections,
-        tenants,
-        workers,
-        queue_depth,
-        admitted: counter("serve.edge.admitted"),
-        completed: counter("serve.edge.ok"),
-        shed_queue_full: counter("serve.edge.shed_queue_full"),
-        shed_quota: counter("serve.edge.shed_quota"),
-        shed_deadline: counter("serve.edge.shed_deadline"),
-        shed_deadline_queued: counter("serve.edge.shed_deadline_queued"),
-        engine_requests: counter("serve.requests"),
-        secs_wall,
-        throughput_rps: ok_responses as f64 / secs_wall.max(f64::EPSILON),
-        queue_wait_p50_us: m.histogram("serve.edge.queue_wait_us").p50(),
-        queue_wait_p99_us: m.histogram("serve.edge.queue_wait_us").p99(),
-        exec_p50_us: m.histogram("serve.edge.exec_us").p50(),
-        exec_p99_us: m.histogram("serve.edge.exec_us").p99(),
-    };
-    edge.shutdown();
-
-    assert_eq!(
-        measurement.completed, ok_responses,
-        "edge Ok counter disagrees with responses received"
-    );
-    assert_eq!(
-        measurement.completed + measurement.shed_total(),
-        submitted,
-        "typed accounting must balance: ok + sheds == submitted"
-    );
-    assert_eq!(
-        measurement.engine_requests, measurement.completed,
-        "shed requests must never reach an engine"
-    );
-    measurement
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,7 +334,19 @@ mod tests {
         assert!(m.images_saved >= 2 && m.images_loaded >= 2);
         assert!(m.blocks_preloaded > 0 && m.image_hits == 4);
         assert!(m.image_block_hits > 0);
-        assert!(m.warm_prometheus.contains("serve_warm_start_image_hits"));
+        // The exposition a scraper sees says the same: images loaded and
+        // hit, and not one block translated.
+        for line in [
+            format!("serve_warm_start_image_loads {}", m.images_loaded),
+            format!("serve_warm_start_image_hits {}", m.image_hits),
+            "dbt_blocks_translated 0".to_string(),
+        ] {
+            assert!(
+                m.warm_prometheus.lines().any(|l| l == line),
+                "warm exposition lacks {line:?}:\n{}",
+                m.warm_prometheus
+            );
+        }
         assert!(!dir.exists(), "store directory cleaned up");
     }
 }

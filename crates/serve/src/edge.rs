@@ -31,8 +31,7 @@
 //! The edge schedules; it never computes. An admitted request's response
 //! (cycles, report text, observed-memory bytes) is byte-identical to
 //! running the same [`RunRequest`] through an in-process service — the
-//! `serve_load` bench asserts this over thousands of concurrent socket
-//! requests.
+//! `edge_storm` test asserts this under a pipelined overload storm.
 
 use crate::deadline::Deadline;
 use crate::tenant::{FairQueue, QuotaLedger, TryPushError};

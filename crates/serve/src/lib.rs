@@ -22,8 +22,8 @@
 //! [`Arc`]. The naive per-request path ([`ExecService::run_sequential`])
 //! re-derives both for every request, which is exactly the redundancy the
 //! service amortizes away; on a training-dominated batch the pooled path
-//! wins ≥2x wall-clock without needing a second CPU (the `serve_bench`
-//! harness asserts this).
+//! wins ≥2x wall-clock without needing a second CPU (the `perf` harness
+//! and the `serve_speedup` test assert this).
 //!
 //! # Determinism contract
 //!
@@ -1384,10 +1384,21 @@ mod tests {
         );
         assert_eq!(m.counter("dbt.code_cache.misses").get(), translated_shared);
         assert!(m.gauge("dbt.code_cache.bytes").get() > 0);
-        // Both expositions carry the new counter families.
+        // Both expositions carry the counter families, and the scraped
+        // hit count is the registry's.
         let prom = m.to_prometheus();
-        assert!(prom.contains("dbt_code_cache_hits"));
-        assert!(prom.contains("dispatch_hint_hits"));
+        for family in [
+            "serve_requests",
+            "dbt_code_cache_hits",
+            "dispatch_hint_hits",
+        ] {
+            assert!(
+                prom.contains(&format!("# TYPE {family} counter\n")),
+                "{family}"
+            );
+        }
+        let hits = format!("dbt_code_cache_hits {}", translated_shared * 2);
+        assert!(prom.lines().any(|l| l == hits), "{hits}");
         assert!(m.to_json().contains("\"dbt.code_cache.hits\""));
     }
 

@@ -136,9 +136,10 @@ fn phase_change_fires_then_handoff_resolves_the_slo() {
     assert!(doc.contains("\"state\":\"resolved\""), "resolve kept");
 }
 
-/// `OP_ALERTS` and `OP_DASHBOARD` ride the same socket as runs; the
-/// dashboard names the re-diverged site and the alert document carries
-/// the fired transition.
+/// `OP_ALERTS` and `OP_DASHBOARD` ride the same socket as runs: the
+/// phase change fires the alert and the dashboard names the re-diverged
+/// site; the exception-handling hand-off then resolves it, and both
+/// alert edges are counted.
 #[test]
 fn alerts_and_dashboard_over_the_socket() {
     let edge = EdgeServer::start(
@@ -151,7 +152,8 @@ fn alerts_and_dashboard_over_the_socket() {
     .unwrap();
     let mut client = EdgeClient::connect(edge.addr()).unwrap();
     // Baseline tick, then the storm, then the scrape that fires.
-    let _ = client.alerts().unwrap();
+    let baseline = client.alerts().unwrap();
+    assert!(!baseline.contains("\"state\":\"firing\""), "{baseline}");
     let resp = client
         .run(1, 1, 0, phase_change(MdaStrategy::DynamicProfiling))
         .unwrap();
@@ -173,6 +175,24 @@ fn alerts_and_dashboard_over_the_socket() {
         dash.contains("site 0x00400020: rediverged"),
         "the hot site is named: {dash}"
     );
+    // The hand-off: exception handling converges the site, the rediverge
+    // counter stays flat, and the next scrape resolves the alert.
+    let resp = client
+        .run(
+            2,
+            1,
+            0,
+            phase_change_sized(MdaStrategy::ExceptionHandling, 4000),
+        )
+        .unwrap();
+    assert_eq!(resp.status, EdgeStatus::Ok);
+    let alerts = client.alerts().unwrap();
+    assert!(
+        alerts.contains("\"slo\":\"fleet-rediverge\",\"state\":\"resolved\""),
+        "resolved transition visible over the socket: {alerts}"
+    );
+    let dash = client.dashboard().unwrap();
+    assert!(dash.contains("alerts: fired=1 resolved=1"), "{dash}");
     edge.shutdown();
 }
 
