@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 echo "== build =="
 cargo build --release --workspace
 
+echo "== rustdoc (no broken or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== test =="
 cargo test --workspace --release -q
 

@@ -60,6 +60,7 @@ use bridge_alpha::PAL_HALT;
 use bridge_bench::baseline;
 use bridge_bench::experiments as exp;
 use bridge_dbt::RunReport;
+use bridge_metrics::json_escape;
 use bridge_sim::native::{NativeExit, NativeMachine};
 use bridge_sim::{Exit, Machine};
 use bridge_workloads::kernels::{self, Kernel};
@@ -210,10 +211,6 @@ fn fig1_once_baseline(images: &[Vec<u8>]) -> u64 {
         cycles += m.stats().cycles;
     }
     cycles
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// One kernel's numbers for the in-cache-dispatch section: dispatch off,

@@ -189,9 +189,10 @@ pub fn run_kernel_spanned(
 }
 
 /// Runs an in-tree micro-kernel with the continuous re-divergence watch
-/// attached and returns the report plus the sealed [`SiteWatch`]
-/// (per-site verdicts and transitions). Watching never charges
-/// simulated cycles, so the report is byte-identical to a bare run's.
+/// attached and returns the report plus the sealed
+/// [`SiteWatch`](bridge_trace::SiteWatch) (per-site verdicts and
+/// transitions). Watching never charges simulated cycles, so the report
+/// is byte-identical to a bare run's.
 ///
 /// # Panics
 ///

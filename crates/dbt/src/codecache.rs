@@ -124,8 +124,6 @@ pub struct CodeCache {
     blocks: HashMap<u32, Block>,
     /// guest target → chain slots waiting for that target to be translated.
     pending_chains: HashMap<u32, Vec<(u32, usize)>>, // (source block pc, slot index)
-    /// Number of whole-cache flushes performed (stub-region exhaustion).
-    pub flush_count: u64,
 }
 
 impl CodeCache {
@@ -138,7 +136,6 @@ impl CodeCache {
             stub_next: base + code_bytes,
             blocks: HashMap::new(),
             pending_chains: HashMap::new(),
-            flush_count: 0,
         }
     }
 
@@ -234,7 +231,6 @@ impl CodeCache {
         self.blocks.clear();
         self.pending_chains.clear();
         self.stub_next = self.stub_base;
-        self.flush_count += 1;
     }
 
     /// Iterates over installed blocks.
@@ -337,6 +333,5 @@ mod tests {
         cc.flush();
         assert_eq!(cc.block_count(), 0);
         assert_eq!(cc.stub_bytes_used(), 0);
-        assert_eq!(cc.flush_count, 1);
     }
 }

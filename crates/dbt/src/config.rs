@@ -164,11 +164,13 @@ pub struct DbtConfig {
     /// without it (asserted across all strategies by the perf harness
     /// watch leg).
     pub watch: Option<WatchConfig>,
-    /// Shared metrics registry ([`bridge_metrics`]): `Some` makes the
-    /// engine bump host-side counters (traps, patches, fixups, flushes,
-    /// translations) on its cold paths. Like tracing, metrics never charge
-    /// simulated cycles — results are identical with or without them. The
-    /// `Arc` lets a multi-guest service aggregate every engine into one
+    /// Shared metrics registry ([`bridge_metrics`]): `Some` makes
+    /// [`Dbt::run`](crate::Dbt::run) add the run's event counts (traps,
+    /// patches, fixups, flushes, translations, code-cache and dispatch-hint
+    /// hits) to it when it returns, `Ok` or `Err`; the registry lags a
+    /// running engine. Like tracing, metrics never charge simulated
+    /// cycles — results are identical with or without them. The `Arc`
+    /// lets a multi-guest service aggregate every engine into one
     /// registry.
     pub metrics: Option<Arc<Registry>>,
     /// The translation cache to use. Every engine has exactly one
@@ -319,8 +321,8 @@ impl DbtConfig {
         self
     }
 
-    /// Builder-style: attach a shared metrics registry the engine bumps
-    /// its event counters into.
+    /// Builder-style: attach a shared metrics registry the engine adds
+    /// its event counts to when each run returns.
     pub fn with_metrics(mut self, registry: Arc<Registry>) -> DbtConfig {
         self.metrics = Some(registry);
         self

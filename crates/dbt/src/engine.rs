@@ -20,7 +20,6 @@ use bridge_alpha::builder::branch_disp;
 use bridge_alpha::encode::encode as encode_alpha;
 use bridge_alpha::insn::{BrOp, Insn as AInsn};
 use bridge_alpha::reg::Reg;
-use bridge_metrics::{Counter, Gauge, Registry};
 use bridge_sim::cost::CostModel;
 use bridge_sim::cpu::Machine;
 use bridge_sim::trap::{Exit, MachineFault, UnalignedInfo};
@@ -133,49 +132,54 @@ enum Resume {
     Interp(u32),
 }
 
-/// Pre-resolved counter handles into a shared [`Registry`], so the
-/// engine's bump sites skip the registry's name map entirely. All bumps
-/// happen on cold paths (trap handling, patching, translation, flushes)
-/// and never charge simulated cycles — a metered run's report is
-/// byte-identical to an unmetered one.
-struct EngineMetrics {
-    traps: Arc<Counter>,
-    os_fixups: Arc<Counter>,
-    patches: Arc<Counter>,
-    flushes: Arc<Counter>,
-    /// Actual translations performed by this engine. Installs served from
-    /// another engine's cache entries do NOT count here, so the
-    /// fleet-wide value measures real translation work (the reduction the
-    /// perf harness asserts on); [`RunReport::blocks_translated`] keeps
-    /// counting every install.
-    translations: Arc<Counter>,
-    hint_hits: Arc<Counter>,
-    hint_misses: Arc<Counter>,
-    cc_hits: Arc<Counter>,
-    cc_misses: Arc<Counter>,
-    cc_evictions: Arc<Counter>,
-    cc_bytes: Arc<Gauge>,
-    /// Installs served by blocks restored from a persistent AOT image
-    /// (the warm-start reuse the artifact pipeline exists to create).
-    image_hits: Arc<Counter>,
+/// The engine's event counts. [`Dbt::trace`] bumps them, one `match`
+/// on the event, so each count has exactly one source; the last three
+/// have no event and one increment site each. [`Dbt::build_report`]
+/// reads them and [`Dbt::publish_metrics`] copies them to the registry.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    /// Blocks installed, translated here or reused from the cache.
+    blocks_translated: u64,
+    retranslations: u64,
+    traps: u64,
+    os_fixups: u64,
+    patched_sites: u64,
+    rearrangements: u64,
+    reversions: u64,
+    monitor_exits: u64,
+    ibtc_misses: u64,
+    chains: u64,
+    cache_flushes: u64,
+    evictions: u64,
+    /// Installs served by blocks restored from a persistent AOT image.
+    image_hits: u64,
+    /// Blocks this engine translated itself. Installs of another
+    /// engine's cache entries do not count, so the fleet-wide sum
+    /// measures real translation work.
+    own_translations: u64,
+    hint_hits: u64,
+    hint_misses: u64,
 }
 
-impl EngineMetrics {
-    fn new(r: &Registry) -> EngineMetrics {
-        EngineMetrics {
-            traps: r.counter("dbt.traps"),
-            os_fixups: r.counter("dbt.os_fixups"),
-            patches: r.counter("dbt.patches"),
-            flushes: r.counter("dbt.cache_flushes"),
-            translations: r.counter("dbt.blocks_translated"),
-            hint_hits: r.counter("dispatch.hint_hits"),
-            hint_misses: r.counter("dispatch.hint_misses"),
-            cc_hits: r.counter("dbt.code_cache.hits"),
-            cc_misses: r.counter("dbt.code_cache.misses"),
-            cc_evictions: r.counter("dbt.code_cache.evictions"),
-            cc_bytes: r.gauge("dbt.code_cache.bytes"),
-            image_hits: r.counter("dbt.image.block_hits"),
-        }
+impl Counts {
+    /// The registry counters the counts publish, by name.
+    fn counters(&self) -> [(&'static str, u64); 11] {
+        [
+            ("dbt.traps", self.traps),
+            ("dbt.os_fixups", self.os_fixups),
+            ("dbt.patches", self.patched_sites + self.rearrangements),
+            ("dbt.cache_flushes", self.cache_flushes),
+            ("dbt.blocks_translated", self.own_translations),
+            ("dispatch.hint_hits", self.hint_hits),
+            ("dispatch.hint_misses", self.hint_misses),
+            (
+                "dbt.code_cache.hits",
+                self.blocks_translated - self.own_translations,
+            ),
+            ("dbt.code_cache.misses", self.own_translations),
+            ("dbt.code_cache.evictions", self.evictions),
+            ("dbt.image.block_hits", self.image_hits),
+        ]
     }
 }
 
@@ -197,15 +201,12 @@ pub struct Dbt {
     decode_cache: interp::DecodeCache,
     loaded: bool,
     guest_insns_interpreted: u64,
-    blocks_translated: u64,
-    retranslations: u64,
-    patched_sites: u64,
-    rearrangements: u64,
-    reversions: u64,
-    os_fixups: u64,
-    chains: u64,
-    monitor_exits: u64,
-    ibtc_misses: u64,
+    counts: Counts,
+    /// The counts as of the last [`Dbt::publish_metrics`].
+    published: Counts,
+    /// The most bytes the translation cache held after any install here,
+    /// for the code-cache gauge's high watermark.
+    cache_bytes_peak: u64,
     /// Last observed values of the in-machine hit counter registers, so
     /// each `run_machine` round can charge exactly the new hits.
     seen_ibtc_hits: u64,
@@ -226,8 +227,6 @@ pub struct Dbt {
     /// the tracer and advanced by simulated cycles at progress points —
     /// pure observation, never charges cycles.
     watch: Option<SiteWatch>,
-    /// Counter handles into [`DbtConfig::metrics`], when attached.
-    metrics: Option<EngineMetrics>,
     /// The engine's translation cache: the fleet's when one supplied it
     /// ([`DbtConfig::shared_cache`]), otherwise one created for this
     /// engine alone. It allocates the code region and evicts LRU blocks
@@ -247,8 +246,6 @@ pub struct Dbt {
     /// host 0 = empty. A pure host-side memo — hits skip the block-table
     /// lookup but charge exactly the same simulated cycles.
     hint: Vec<(u32, u64)>,
-    hint_hits: u64,
-    hint_misses: u64,
 }
 
 impl Dbt {
@@ -273,7 +270,6 @@ impl Dbt {
             None => SpanRecorder::disabled(),
         };
         let watch = cfg.watch.map(SiteWatch::new);
-        let metrics = cfg.metrics.as_deref().map(EngineMetrics::new);
         let shared = match &cfg.shared_cache {
             Some(sh) => Arc::clone(sh),
             None => SharedCodeCache::new(cfg.code_bytes),
@@ -296,30 +292,21 @@ impl Dbt {
             decode_cache: interp::DecodeCache::new(),
             loaded: false,
             guest_insns_interpreted: 0,
-            blocks_translated: 0,
-            retranslations: 0,
-            patched_sites: 0,
-            rearrangements: 0,
-            reversions: 0,
-            os_fixups: 0,
-            chains: 0,
-            monitor_exits: 0,
-            ibtc_misses: 0,
+            counts: Counts::default(),
+            published: Counts::default(),
+            cache_bytes_peak: 0,
             seen_ibtc_hits: 0,
             seen_ras_hits: 0,
             seen_retired: 0,
             tracer,
             spans,
             watch,
-            metrics,
             shared,
             shared_installs: HashMap::new(),
             install_counts: HashMap::new(),
             seen_shared_gen: 0,
             seen_patch_seq: 0,
             hint: vec![(0, 0); HINT_ENTRIES],
-            hint_hits: 0,
-            hint_misses: 0,
         }
     }
 
@@ -423,12 +410,30 @@ impl Dbt {
         Some(t)
     }
 
-    /// Records one trace event at the current simulated cycle count. A
-    /// single predictable branch when tracing is off. The re-divergence
-    /// watch rides the same funnel, so every site-relevant event the
-    /// tracer can see, the watch sees too.
+    /// The one funnel for engine events: counts the event, then records
+    /// it at the current simulated cycle count. Recording is a single
+    /// predictable branch when tracing is off. The re-divergence watch
+    /// rides the same funnel, so every site-relevant event the tracer can
+    /// see, the watch sees too.
     #[inline(always)]
     fn trace(&mut self, event: TraceEvent) {
+        let c = &mut self.counts;
+        match event {
+            TraceEvent::BlockTranslated { .. } => c.blocks_translated += 1,
+            TraceEvent::Retranslation { .. } => c.retranslations += 1,
+            TraceEvent::Trap { .. } => c.traps += 1,
+            TraceEvent::OsFixup { .. } => c.os_fixups += 1,
+            TraceEvent::EhPatch { .. } => c.patched_sites += 1,
+            TraceEvent::Rearrangement { .. } => c.rearrangements += 1,
+            TraceEvent::Reversion { .. } => c.reversions += 1,
+            TraceEvent::MonitorExit { .. } => c.monitor_exits += 1,
+            TraceEvent::IbtcMiss { .. } => c.ibtc_misses += 1,
+            TraceEvent::ChainBackpatch { .. } => c.chains += 1,
+            TraceEvent::CacheFlush { .. } => c.cache_flushes += 1,
+            TraceEvent::CacheEvict { .. } => c.evictions += 1,
+            TraceEvent::ImageHit { .. } => c.image_hits += 1,
+            _ => {}
+        }
         let cycles = self.machine.stats().cycles;
         if let Some(w) = &mut self.watch {
             w.observe(cycles, &event);
@@ -605,15 +610,25 @@ impl Dbt {
     /// instructions; each interpreted guest instruction costs several fuel
     /// units).
     ///
+    /// Publishes the run's counts to [`DbtConfig::metrics`] on every
+    /// return, `Ok` or `Err`.
+    ///
     /// # Errors
     ///
     /// See [`DbtError`]. Programs that do not halt exhaust the fuel.
     pub fn run(&mut self, fuel: u64) -> Result<RunReport, DbtError> {
+        let result = self.run_to_exit(fuel);
+        self.publish_metrics();
+        result
+    }
+
+    /// The body of [`Dbt::run`].
+    fn run_to_exit(&mut self, fuel: u64) -> Result<RunReport, DbtError> {
         if !self.loaded {
             return Err(DbtError::NotLoaded);
         }
         let run_span = self.span_start(SpanKind::Run, Some(self.state.eip));
-        if self.cfg.pretranslate && self.blocks_translated == 0 {
+        if self.cfg.pretranslate && self.counts.blocks_translated == 0 {
             self.pretranslate()?;
         }
         let mut remaining = fuel;
@@ -768,7 +783,6 @@ impl Dbt {
             }
             match exit {
                 Exit::Monitor => {
-                    self.monitor_exits += 1;
                     let d = self.machine.cost().dispatch;
                     self.machine.charge(d);
                     let next = self.machine.reg(EXIT_PC_REG) as u32;
@@ -819,9 +833,6 @@ impl Dbt {
                 .ok_or(DbtError::Internal("trap at an unrecorded site"))?
         };
         self.profile.record_trap_mda(site);
-        if let Some(m) = &self.metrics {
-            m.traps.inc();
-        }
         let trap_cost = self.machine.cost().unaligned_trap;
         self.trace(TraceEvent::Trap {
             site_pc: site.pc,
@@ -904,7 +915,6 @@ impl Dbt {
         self.invalidate_block(block_pc, false);
         let c = self.machine.cost().patch_base;
         self.machine.charge(c);
-        self.reversions += 1;
         self.trace(TraceEvent::Reversion { site_pc });
         Ok(site_pc)
     }
@@ -929,10 +939,6 @@ impl Dbt {
         let c = self.machine.cost().unaligned_fixup;
         self.machine.charge(c);
         self.machine.set_pc(info.pc + 4);
-        self.os_fixups += 1;
-        if let Some(m) = &self.metrics {
-            m.os_fixups.inc();
-        }
         Ok(())
     }
 
@@ -967,10 +973,6 @@ impl Dbt {
         }
         self.forced_sequence.insert(site);
         self.forced_normal.remove(&site);
-        self.patched_sites += 1;
-        if let Some(m) = &self.metrics {
-            m.patches.inc();
-        }
         self.trace(TraceEvent::EhPatch {
             site_pc: site.pc,
             slot: site.slot,
@@ -1015,10 +1017,6 @@ impl Dbt {
         let cost = self.machine.cost();
         let charge = cost.patch_base + cost.patch_per_word * u64::from(words_len);
         self.machine.charge(charge);
-        self.rearrangements += 1;
-        if let Some(m) = &self.metrics {
-            m.patches.inc();
-        }
         self.trace(TraceEvent::Rearrangement {
             block_pc,
             site_pc: site.pc,
@@ -1090,7 +1088,6 @@ impl Dbt {
             return; // exit from a stub, not a block body
         }
         if block.indirect_exits.contains(&pal_addr) {
-            self.ibtc_misses += 1;
             self.trace(TraceEvent::IbtcMiss { next_pc: next });
             return;
         }
@@ -1176,7 +1173,6 @@ impl Dbt {
             // Re-decide the block's sites from the fresh profiling window.
             self.forced_sequence.retain(|s| !pcs.contains(&s.pc));
             self.forced_normal.retain(|s| !pcs.contains(&s.pc));
-            self.retranslations += 1;
         }
         let c = self.machine.cost().invalidate_block;
         self.machine.charge(c);
@@ -1200,9 +1196,6 @@ impl Dbt {
         let c = self.machine.cost().invalidate_block * blocks;
         self.machine.charge(c);
         self.machine.flush_caches();
-        if let Some(m) = &self.metrics {
-            m.flushes.inc();
-        }
         self.trace(TraceEvent::CacheFlush { blocks });
     }
 
@@ -1234,7 +1227,7 @@ impl Dbt {
         self.sync_shared();
         let variant = self.install_counts.get(&block_pc).copied().unwrap_or(0);
         if let Some(e) = self.shared_lookup(block_pc, variant) {
-            self.install_shared(&e, retrans_count, true);
+            self.install_shared(&e, retrans_count);
             return Ok(true);
         }
         // Miss: translate under the cache lock, double-checking first so
@@ -1242,7 +1235,7 @@ impl Dbt {
         let guard = sh.translate_lock();
         if let Some(e) = self.shared_lookup(block_pc, variant) {
             drop(guard);
-            self.install_shared(&e, retrans_count, true);
+            self.install_shared(&e, retrans_count);
             return Ok(true);
         }
         let base = sh.candidate_addr();
@@ -1254,9 +1247,6 @@ impl Dbt {
             return Err(DbtError::Internal("block larger than the code region"));
         };
         for &pc in &alloc.evicted {
-            if let Some(m) = &self.metrics {
-                m.cc_evictions.inc();
-            }
             self.trace(TraceEvent::CacheEvict { block_pc: pc });
         }
         if !alloc.evicted.is_empty() {
@@ -1279,27 +1269,15 @@ impl Dbt {
         };
         let entry = sh.insert(tb, alloc.addr, variant, plans, self.dispatch_opts());
         drop(guard);
-        if let Some(m) = &self.metrics {
-            m.translations.inc();
-        }
-        self.install_shared(&entry, retrans_count, false);
+        self.counts.own_translations += 1;
+        self.install_shared(&entry, retrans_count);
         Ok(true)
     }
 
     /// Installs a shared entry into this engine's memory and block table,
     /// recording it for the coherence stale sweep.
-    fn install_shared(&mut self, entry: &Arc<SharedBlock>, retrans_count: u32, hit: bool) {
-        if let Some(m) = &self.metrics {
-            if hit {
-                m.cc_hits.inc();
-            } else {
-                m.cc_misses.inc();
-            }
-            if hit && entry.preloaded {
-                m.image_hits.inc();
-            }
-        }
-        let restore_span = if hit && entry.preloaded {
+    fn install_shared(&mut self, entry: &Arc<SharedBlock>, retrans_count: u32) {
+        let restore_span = if entry.preloaded {
             self.trace(TraceEvent::ImageHit {
                 block_pc: entry.tb.guest_pc,
             });
@@ -1312,9 +1290,8 @@ impl Dbt {
         self.shared_installs
             .insert(entry.tb.guest_pc, Arc::clone(entry));
         *self.install_counts.entry(entry.tb.guest_pc).or_insert(0) += 1;
-        if let Some(m) = &self.metrics {
-            m.cc_bytes.set(self.shared.stats().bytes_used as i64);
-        }
+        let bytes = self.shared.stats().bytes_used;
+        self.cache_bytes_peak = self.cache_bytes_peak.max(bytes);
     }
 
     /// Translates `block_pc` against `base` with the active strategy's
@@ -1443,10 +1420,7 @@ impl Dbt {
     fn hint_probe(&mut self, pc: u32) -> Option<u64> {
         let (hpc, host) = self.hint[(pc as usize) & (HINT_ENTRIES - 1)];
         if host != 0 && hpc == pc {
-            self.hint_hits += 1;
-            if let Some(m) = &self.metrics {
-                m.hint_hits.inc();
-            }
+            self.counts.hint_hits += 1;
             Some(host)
         } else {
             None
@@ -1456,10 +1430,7 @@ impl Dbt {
     /// Fills the hint slot after a block-table lookup found `pc`
     /// translated (a dispatch the hint failed to eliminate).
     fn hint_fill(&mut self, pc: u32, host: u64) {
-        self.hint_misses += 1;
-        if let Some(m) = &self.metrics {
-            m.hint_misses.inc();
-        }
+        self.counts.hint_misses += 1;
         self.hint[(pc as usize) & (HINT_ENTRIES - 1)] = (pc, host);
     }
 
@@ -1487,14 +1458,13 @@ impl Dbt {
         let charge = cost.translate_per_block
             + cost.translate_per_guest_insn * u64::from(tb.guest_insn_count);
         self.machine.charge(charge);
-        if self.blocks_translated == 0 {
+        if self.counts.blocks_translated == 0 {
             // First translation: the run leaves the interpret-and-profile
             // phase (profiling decisions freeze under DPEH).
             self.trace(TraceEvent::PhaseTransition {
                 guest_pc: tb.guest_pc,
             });
         }
-        self.blocks_translated += 1;
         self.trace(TraceEvent::BlockTranslated {
             guest_pc: tb.guest_pc,
         });
@@ -1548,7 +1518,6 @@ impl Dbt {
         self.machine.patch_code_word(addr, word);
         let c = self.machine.cost().patch_per_word;
         self.machine.charge(c);
-        self.chains += 1;
         self.trace(TraceEvent::ChainBackpatch {
             block_pc,
             target_pc,
@@ -1556,27 +1525,49 @@ impl Dbt {
     }
 
     fn build_report(&self) -> RunReport {
+        let c = &self.counts;
         RunReport {
             final_state: self.state.clone(),
             stats: *self.machine.stats(),
             guest_insns_interpreted: self.guest_insns_interpreted,
-            blocks_translated: self.blocks_translated,
-            retranslations: self.retranslations,
-            patched_sites: self.patched_sites,
-            rearrangements: self.rearrangements,
-            reversions: self.reversions,
-            os_fixups: self.os_fixups,
-            chains: self.chains,
-            monitor_exits: self.monitor_exits,
+            blocks_translated: c.blocks_translated,
+            retranslations: c.retranslations,
+            patched_sites: c.patched_sites,
+            rearrangements: c.rearrangements,
+            reversions: c.reversions,
+            os_fixups: c.os_fixups,
+            chains: c.chains,
+            monitor_exits: c.monitor_exits,
             ibtc_hits: self.machine.reg(IBTC_HIT_CTR),
-            ibtc_misses: self.ibtc_misses,
+            ibtc_misses: c.ibtc_misses,
             ras_hits: self.machine.reg(RAS_HIT_CTR),
             guest_insns_retired: self.machine.reg(RETIRE_CTR),
-            cache_flushes: self.cache.flush_count,
+            cache_flushes: c.cache_flushes,
             interp_only_blocks: self.interp_only.len() as u64,
-            hint_hits: self.hint_hits,
-            hint_misses: self.hint_misses,
+            hint_hits: c.hint_hits,
+            hint_misses: c.hint_misses,
             profile: self.profile.clone(),
+        }
+    }
+
+    /// Adds the counts since the last publish to [`DbtConfig::metrics`]:
+    /// the engine's only registry write, made when a run returns. Every
+    /// name is written, zero or not, so the instrument set does not
+    /// depend on what the run did. The code-cache gauge moves only when
+    /// the run installed a block: to the peak after any install (its
+    /// high watermark), then to the current size.
+    fn publish_metrics(&mut self) {
+        let Some(r) = self.cfg.metrics.as_deref() else {
+            return;
+        };
+        let was = std::mem::replace(&mut self.published, self.counts);
+        for ((name, now), (_, before)) in self.counts.counters().into_iter().zip(was.counters()) {
+            r.counter(name).add(now - before);
+        }
+        let bytes = r.gauge("dbt.code_cache.bytes");
+        if self.counts.blocks_translated > was.blocks_translated {
+            bytes.set(self.cache_bytes_peak as i64);
+            bytes.set(self.shared.stats().bytes_used as i64);
         }
     }
 }
@@ -1636,6 +1627,7 @@ pub fn states_equivalent(a: &CpuState, b: &CpuState) -> bool {
 mod tests {
     use super::*;
     use crate::profile::StaticProfile;
+    use bridge_metrics::Registry;
     use bridge_x86::asm::Assembler;
     use bridge_x86::cond::Cond;
     use bridge_x86::insn::{AluOp, MemRef};

@@ -461,6 +461,23 @@ fn escape_help(help: &str) -> String {
     out
 }
 
+/// Escapes `s` for the inside of a JSON string: quote and backslash
+/// take a backslash, control characters become `\uXXXX`.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Schema tag of the one-line JSON document [`HealthSnapshot::to_json_line`]
 /// renders.
 pub const HEALTH_SCHEMA: &str = "bridge-health/1";
@@ -547,16 +564,7 @@ impl HealthSnapshot {
         let mut out = String::from("{\"schema\":\"");
         out.push_str(HEALTH_SCHEMA);
         out.push_str("\",\"context\":\"");
-        for c in self.context.chars() {
-            match c {
-                '"' | '\\' => {
-                    out.push('\\');
-                    out.push(c);
-                }
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
+        out.push_str(&json_escape(&self.context));
         out.push_str(&format!(
             "\",\"seq\":{},\"window_us\":{},\"counters\":{{",
             self.seq, self.window_us
@@ -1019,6 +1027,17 @@ mod tests {
         assert!(snap
             .to_json_line()
             .contains("\"context\":\"k\\\"ern\\\\el\\u000a\""));
+        // The alerts document escapes SLO names the same way.
+        let mut rules = AlertRules::new();
+        rules.add(SloSpec::new(
+            "s\"lo\u{1}",
+            SloKind::DeltaAtMost {
+                metric: "m".into(),
+                max_delta: 0,
+            },
+        ));
+        let doc = rules.to_json(&TimeSeries::new(4));
+        assert!(doc.contains("\"name\":\"s\\\"lo\\u0001\""), "{doc}");
     }
 
     /// Satellite: the exposition carries a `# HELP` line per family —

@@ -24,7 +24,7 @@
 //! Everything here is pure observation: nothing reads host time, and
 //! ticking a registry never perturbs the instruments it samples.
 
-use crate::{quantile_of, Registry, HISTOGRAM_BUCKETS};
+use crate::{json_escape, quantile_of, Registry, HISTOGRAM_BUCKETS};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Schema tag of the JSON document [`AlertRules::to_json`] renders.
@@ -580,21 +580,6 @@ impl AlertRules {
         out.push_str("]}");
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' | '\\' => {
-                out.push('\\');
-                out.push(c);
-            }
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -308,8 +308,10 @@ pub fn kernel_hash(kernel: &Kernel) -> u64 {
 /// itself (requests served, per-request simulated exec cycles, artifact
 /// memoization hits/misses, and — from the dispatch loop, whichever
 /// submitter fed it — queue depth with high watermark, host-side queue
-/// wait and host-side exec time) and every guest engine (`dbt.*`
-/// counters, via [`DbtConfig::with_metrics`]). Instruments in the
+/// wait and host-side exec time) and every guest engine (`dbt.*` and
+/// `dispatch.hint_*` counters, via [`DbtConfig::with_metrics`], which
+/// each engine adds when its run returns — a request's engine counts
+/// land before its response). Instruments in the
 /// simulated-cycle domain — `serve.exec_cycles`, all `dbt.*` counters,
 /// `serve.requests` — are exactly reproducible run-to-run.
 /// `serve.edge.queue_wait_us` and `serve.edge.exec_us` measure *host*

@@ -16,7 +16,7 @@ const EMPTY: u64 = u64::MAX;
 /// Tags live in one flat array of `set_count * ways` slots — no per-set
 /// `Vec`, no heap indirection on the access path. Within a set's slice the
 /// resident tags are kept **contiguous at the end**, most recently used
-/// last, with [`EMPTY`] slots at the front; this preserves the exact LRU
+/// last, with `EMPTY` slots at the front; this preserves the exact LRU
 /// order (and therefore the exact hit/miss and eviction sequence) of a
 /// naive push/remove representation.
 #[derive(Debug, Clone)]

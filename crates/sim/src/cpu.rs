@@ -6,7 +6,7 @@
 //! The machine has two functionally identical engines:
 //!
 //! * the **superblock engine** (default) decodes straight-line runs of
-//!   instruction words into dense [`Superblock`]s keyed by entry PC and
+//!   instruction words into dense superblocks keyed by entry PC and
 //!   executes them with zero per-instruction map probes, and
 //! * the **per-instruction engine** ([`Machine::run_legacy`], or
 //!   [`Machine::step`]) decodes one word at a time through a

@@ -6,7 +6,7 @@
 //! Memory sits on the simulator's hottest path (every guest load/store and
 //! every code write), so the page table is tuned accordingly:
 //!
-//! * pages live in an [`FxHashMap`](crate::hashing::FxHashMap) rather than a
+//! * pages live in an [`FxHashMap`] rather than a
 //!   SipHash map,
 //! * a **last-page pointer cache** remembers the most recently touched page
 //!   so consecutive accesses to the same 4 KB page (the overwhelmingly

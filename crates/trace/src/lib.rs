@@ -50,7 +50,7 @@ pub use site::SiteTelemetry;
 pub use span::{SpanConfig, SpanId, SpanKind, SpanRecord, SpanRecorder};
 pub use timeline::{ConvergenceVerdict, Timeline};
 pub use watch::{
-    SiteTransition, SiteVerdict, SiteWatch, SiteWatchStats, WatchConfig, WatchSink, WindowEvidence,
+    SiteTransition, SiteVerdict, SiteWatch, SiteWatchStats, WatchConfig, WindowEvidence,
 };
 
 use std::collections::{BTreeMap, VecDeque};

@@ -4,8 +4,8 @@
 //! The paper's temporal argument (Table III / Figure 16) is that a site
 //! which looked aligned during profiling can turn misaligned in steady
 //! state — and only *continuous* per-site observation catches the turn.
-//! [`SiteWatch`] consumes the tracer's event stream incrementally (via
-//! the existing [`TraceSink`] path — no second ring) and folds each
+//! [`SiteWatch`] consumes the engine's event stream incrementally (fed
+//! from the same funnel as the tracer — no second ring) and folds each
 //! site's trap/fixup/patch activity into rolling windows of
 //! `window_cycles` simulated cycles. Closing a window advances a small
 //! per-site verdict machine:
@@ -32,11 +32,8 @@
 //! (`trace_report --watch`) reproduces the live verdicts exactly, and
 //! watching a run never charges simulated cycles.
 
-use crate::sink::TraceSink;
-use crate::{TraceEvent, TraceRecord, Tracer};
+use crate::TraceEvent;
 use std::collections::BTreeMap;
-use std::io;
-use std::sync::{Arc, Mutex};
 
 /// Rolling-window parameters for a [`SiteWatch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,10 +192,9 @@ impl SiteState {
 }
 
 /// Rolling per-PC trap-rate windows over the event stream, with typed
-/// verdict transitions. Feed it live via [`SiteWatch::observe`] (or as
-/// a [`WatchSink`] on the tracer's sink path), or replay a JSONL trace
-/// through [`SiteWatch::observe_kind`]; both produce identical
-/// verdicts for the same stream.
+/// verdict transitions. Feed it live via [`SiteWatch::observe`], or
+/// replay a JSONL trace through [`SiteWatch::observe_kind`]; both
+/// produce identical verdicts for the same stream.
 #[derive(Debug, Clone)]
 pub struct SiteWatch {
     cfg: WatchConfig,
@@ -548,34 +544,9 @@ impl SiteWatch {
     }
 }
 
-/// [`TraceSink`] adapter: feeds every record leaving the tracer into a
-/// shared [`SiteWatch`] and seals it at finish — continuous per-site
-/// classification on the existing sink path, no second ring.
-pub struct WatchSink(pub Arc<Mutex<SiteWatch>>);
-
-impl TraceSink for WatchSink {
-    fn emit(&mut self, rec: &TraceRecord) -> io::Result<()> {
-        self.0
-            .lock()
-            .expect("watch lock")
-            .observe(rec.cycle, &rec.event);
-        Ok(())
-    }
-
-    fn finish(&mut self, _tracer: &Tracer) -> io::Result<()> {
-        self.0.lock().expect("watch lock").seal();
-        Ok(())
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceConfig;
 
     fn cfg() -> WatchConfig {
         WatchConfig::default()
@@ -764,28 +735,6 @@ mod tests {
         let mut w = SiteWatch::new(cfg());
         w.observe_kind(10, "hologram", Some(0x40));
         assert_eq!(w.events(), 0);
-    }
-
-    /// The sink path: a tracer with a [`WatchSink`] feeds the watch on
-    /// every ring eviction and the final drain, then seals it.
-    #[test]
-    fn watch_sink_rides_the_tracer_sink_path() {
-        let watch = Arc::new(Mutex::new(SiteWatch::new(cfg())));
-        let mut t = Tracer::new(
-            &TraceConfig::default()
-                .with_bucket_cycles(100)
-                .with_ring_capacity(4),
-        );
-        assert!(t.set_sink(Box::new(WatchSink(Arc::clone(&watch)))));
-        for i in 0..8u64 {
-            t.record(100 + i * 5, trap(0x40));
-        }
-        t.record(400, patch(0x40));
-        t.finish_sink().expect("sink attached").expect("no error");
-        let w = watch.lock().unwrap();
-        assert!(w.is_sealed());
-        assert_eq!(w.events(), 9, "evictions + final drain, nothing lost");
-        assert_eq!(w.verdict(0x40), Some(SiteVerdict::Rediverged));
     }
 
     /// Fleet merge folds totals and takes the pessimistic verdict.
