@@ -42,6 +42,7 @@ test "$(grep -c '"correct": true' "$tmp/bench_smoke.txt")" -eq 4
 echo "== perf bench (scale test) + BENCH json schema =="
 (cd "$tmp" && "$OLDPWD/target/release/perf" --scale test >perf_stdout.txt)
 ./target/release/check_bench_json "$tmp/BENCH_simulator.json"
+python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$tmp/BENCH_simulator.json"
 
 echo "== shared-cache smoke (multi-thread vCPU fleet, chained dispatch hints firing) =="
 grep -q "Shared translation cache (4 vCPUs" "$tmp/perf_stdout.txt"
@@ -92,6 +93,21 @@ grep -q '"ph":"X"' "$tmp/spans.json"
 grep -q '"schema":"bridge-health/1"' "$tmp/health.txt"
 grep -q '"context":"service"' "$tmp/health.txt"
 grep -q '"context":"phase_change_sum/dpeh/50"' "$tmp/health.txt"
+
+echo "== independent parser (python3 json) over every JSON line the tools wrote =="
+# Every line of each trace, and every bridge-health/1 line of the health
+# report (its other lines are prose), must parse as one JSON object.
+grep '"schema":"bridge-health/1"' "$tmp/health.txt" >"$tmp/health.jsonl"
+python3 - "$tmp/trace.jsonl" "$tmp/eh.jsonl" "$tmp/dyn.jsonl" "$tmp/health.jsonl" <<'PY'
+import json, sys
+for path in sys.argv[1:]:
+    lines = open(path).read().splitlines()
+    if not lines:
+        sys.exit(f"{path}: empty")
+    for n, line in enumerate(lines, 1):
+        if not isinstance(json.loads(line), dict):
+            sys.exit(f"{path}:{n}: not a JSON object")
+PY
 
 echo "== AOT image smoke (build -> verify -> warm re-build, store audit) =="
 mkdir -p "$tmp/images"

@@ -5,14 +5,15 @@
 //! the rule its value must meet. One loop applies the rows; keys the
 //! table does not name are ignored. Each lookup is scoped to its own
 //! section's braces, so a key missing from one section is never
-//! satisfied by the same name in another. The reader is a small
-//! hand-rolled walker (no serde in-tree), adequate for a file `perf`
-//! generates.
+//! satisfied by the same name in another. Lookups go through the
+//! workspace's one JSON reader ([`bridge_metrics::json`]), which finds
+//! only an object's top-level members.
 //!
 //! Usage: `check_bench_json [path]` (default `BENCH_simulator.json`).
 //! Exits non-zero with a diagnostic on the first violation.
 
 use bridge_bench::serve::SERVE_SPEEDUP_FLOOR;
+use bridge_metrics::json::{elements, member};
 use std::process::ExitCode;
 
 /// The one schema version this validator understands.
@@ -130,73 +131,6 @@ const RULES: &[(&str, &str, Rule)] = &[
     ("warm_start", "stats_equal", True),
     ("experiments[]", "secs", Positive),
 ];
-
-/// Byte length of the JSON value `s` starts with: a string, a whole
-/// object or array, or a bare scalar up to the next delimiter.
-fn value_len(s: &str) -> usize {
-    let b = s.as_bytes();
-    let (mut depth, mut in_str, mut i) = (0usize, false, 0);
-    while i < b.len() {
-        match (in_str, b[i]) {
-            (true, b'\\') => i += 1,
-            (true, b'"') => {
-                in_str = false;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            (true, _) => {}
-            (false, b'"') => in_str = true,
-            (false, b'{' | b'[') => depth += 1,
-            (false, b'}' | b']') if depth > 1 => depth -= 1,
-            (false, b'}' | b']') if depth == 1 => return i + 1,
-            (false, b',' | b'}' | b']' | b'\n') if depth == 0 => return i,
-            _ => {}
-        }
-        i += 1;
-    }
-    b.len()
-}
-
-/// The raw text of `key`'s value among the direct members of the object
-/// `obj`; nested objects are not searched.
-fn member<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let mut rest = obj.trim_start().strip_prefix('{')?;
-    loop {
-        rest = rest.trim_start_matches(|c: char| c.is_whitespace() || c == ',');
-        if !rest.starts_with('"') {
-            return None;
-        }
-        let name_len = value_len(rest);
-        let name = rest.get(1..name_len - 1)?;
-        let value = rest[name_len..]
-            .trim_start()
-            .strip_prefix(':')?
-            .trim_start();
-        let len = value_len(value);
-        if name == key {
-            return Some(value[..len].trim_end());
-        }
-        rest = &value[len..];
-    }
-}
-
-/// The elements of the array `arr`.
-fn elements(arr: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let Some(mut rest) = arr.strip_prefix('[') else {
-        return out;
-    };
-    loop {
-        rest = rest.trim_start_matches(|c: char| c.is_whitespace() || c == ',');
-        let len = value_len(rest);
-        if len == 0 || rest.starts_with(']') {
-            return out;
-        }
-        out.push(&rest[..len]);
-        rest = &rest[len..];
-    }
-}
 
 /// The objects a rule's section path names.
 fn sections<'a>(json: &'a str, path: &str) -> Result<Vec<&'a str>, String> {

@@ -60,13 +60,12 @@ use bridge_alpha::PAL_HALT;
 use bridge_bench::baseline;
 use bridge_bench::experiments as exp;
 use bridge_dbt::RunReport;
-use bridge_metrics::json_escape;
+use bridge_metrics::json;
 use bridge_sim::native::{NativeExit, NativeMachine};
 use bridge_sim::{Exit, Machine};
 use bridge_workloads::kernels::{self, Kernel};
 use bridge_workloads::spec::selected_benchmarks;
 use exp::fig1::Layout;
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 const BASE: u64 = 0x8000_0000;
@@ -951,186 +950,138 @@ fn main() {
     let total: Duration = results.iter().map(|(_, _, d)| *d).sum();
     println!("  {:<45} {total:8.2?}", "TOTAL");
 
-    // Emit BENCH_simulator.json (hand-rolled: no serde in-tree).
-    let mut j = String::from("{\n");
-    let _ = writeln!(j, "  \"schema\": \"digitalbridge-sim-perf/11\",");
-    let _ = writeln!(j, "  \"scale_outer_iters\": {},", scale.outer_iters);
-    let _ = writeln!(j, "  \"mips\": {{");
-    let _ = writeln!(j, "    \"kernel_insns\": {insns},");
-    let _ = writeln!(j, "    \"superblock\": {mips_sb:.2},");
-    let _ = writeln!(j, "    \"per_insn\": {mips_stepper:.2},");
-    let _ = writeln!(j, "    \"baseline\": {mips_base:.2},");
-    let _ = writeln!(j, "    \"speedup\": {mips_speedup:.3}");
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"fig1\": {{");
-    let _ = writeln!(j, "    \"trace_secs\": {:.4},", fig1_cur.as_secs_f64());
-    let _ = writeln!(j, "    \"baseline_secs\": {:.4},", fig1_base.as_secs_f64());
-    let _ = writeln!(j, "    \"speedup\": {fig1_speedup:.3}");
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"dispatch\": {{");
-    let _ = writeln!(j, "    \"strategy\": \"DPEH\",");
-    let _ = writeln!(j, "    \"kernel_iters\": {dispatch_iters},");
-    let _ = writeln!(j, "    \"monitor_exits_off\": {exits_off},");
-    let _ = writeln!(j, "    \"monitor_exits_on\": {exits_on},");
-    let _ = writeln!(j, "    \"monitor_exit_reduction\": {exit_reduction:.3},");
-    let _ = writeln!(j, "    \"kernels\": [");
-    for (i, r) in dispatch_rows.iter().enumerate() {
-        let comma = if i + 1 < dispatch_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "      {{\"name\": \"{}\", \"monitor_exits_off\": {}, \"monitor_exits_ibtc\": {}, \
-             \"monitor_exits_on\": {}, \
-             \"ibtc_hits\": {}, \"ras_hits\": {}, \"chains\": {}, \
-             \"cycles_off\": {}, \"cycles_ibtc\": {}, \"cycles_on\": {}, \
-             \"secs_off\": {:.4}, \"secs_on\": {:.4}}}{comma}",
-            json_escape(r.name),
-            r.off.monitor_exits,
-            r.ibtc.monitor_exits,
-            r.on.monitor_exits,
-            r.on.ibtc_hits,
-            r.on.ras_hits,
-            r.on.chains,
-            r.off.cycles(),
-            r.ibtc.cycles(),
-            r.on.cycles(),
-            r.secs_off,
-            r.secs_on
-        );
-    }
-    let _ = writeln!(j, "    ]");
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"trace\": {{");
-    let _ = writeln!(j, "    \"kernel_iters\": {trace_iters},");
-    let _ = writeln!(j, "    \"secs_off\": {:.4},", trace_oh.secs_off);
-    let _ = writeln!(j, "    \"secs_on\": {:.4},", trace_oh.secs_on);
-    let _ = writeln!(
-        j,
-        "    \"enabled_overhead_pct\": {:.3},",
-        trace_oh.overhead_pct
-    );
-    let _ = writeln!(j, "    \"cycles_equal\": true,");
-    let _ = writeln!(j, "    \"events\": {},", trace_oh.events);
-    let _ = writeln!(j, "    \"sites\": {},", trace_oh.sites);
-    let _ = writeln!(j, "    \"dropped\": {},", trace_oh.dropped);
-    let _ = writeln!(j, "    \"secs_stream\": {:.4},", trace_oh.secs_stream);
-    let _ = writeln!(
-        j,
-        "    \"stream_overhead_pct\": {:.3},",
-        trace_oh.stream_overhead_pct
-    );
-    let _ = writeln!(j, "    \"stream_cycles_equal\": true,");
-    let _ = writeln!(j, "    \"streamed_events\": {}", trace_oh.streamed_events);
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"spans\": {{");
-    let _ = writeln!(j, "    \"kernel_iters\": {trace_iters},");
-    let _ = writeln!(j, "    \"secs_off\": {:.4},", trace_oh.secs_off);
-    let _ = writeln!(j, "    \"secs_spans\": {:.4},", trace_oh.secs_spans);
-    let _ = writeln!(
-        j,
-        "    \"span_overhead_pct\": {:.3},",
-        trace_oh.span_overhead_pct
-    );
-    let _ = writeln!(j, "    \"cycles_equal\": true,");
-    let _ = writeln!(j, "    \"span_count\": {},", trace_oh.span_count);
-    let _ = writeln!(j, "    \"folded_frames\": {},", trace_oh.folded_frames);
-    let _ = writeln!(j, "    \"dropped\": {}", trace_oh.span_dropped);
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"watch\": {{");
-    let _ = writeln!(j, "    \"kernel_iters\": {},", watch_oh.kernel_iters);
-    let _ = writeln!(j, "    \"secs_off\": {:.4},", watch_oh.secs_off);
-    let _ = writeln!(j, "    \"secs_watched\": {:.4},", watch_oh.secs_watched);
-    let _ = writeln!(
-        j,
-        "    \"watch_overhead_pct\": {:.3},",
-        watch_oh.overhead_pct
-    );
-    let _ = writeln!(j, "    \"cycles_equal\": true,");
-    let _ = writeln!(j, "    \"sites\": {},", watch_oh.sites);
-    let _ = writeln!(j, "    \"rediverged\": {},", watch_oh.rediverged);
-    let _ = writeln!(j, "    \"converged\": {},", watch_oh.converged);
-    let _ = writeln!(j, "    \"transitions\": {},", watch_oh.transitions);
-    let _ = writeln!(j, "    \"windows_closed\": {}", watch_oh.windows_closed);
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"metrics\": {{");
-    let _ = writeln!(j, "    \"document_schema\": \"bridge-metrics/1\",");
-    let _ = writeln!(j, "    \"well_formed\": true,");
-    let _ = writeln!(j, "    \"instruments\": {},", registry.len());
-    let _ = writeln!(j, "    \"dbt_traps\": {dbt_traps},");
-    let _ = writeln!(j, "    \"dbt_blocks_translated\": {dbt_blocks}");
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"serve\": {{");
-    let _ = writeln!(j, "    \"shards\": {},", serve.shards);
-    let _ = writeln!(j, "    \"requests\": {},", serve.requests);
-    let _ = writeln!(j, "    \"specs\": {},", serve.specs);
-    let _ = writeln!(j, "    \"secs_sequential\": {:.4},", serve.secs_sequential);
-    let _ = writeln!(j, "    \"secs_service\": {:.4},", serve.secs_service);
-    let _ = writeln!(j, "    \"speedup\": {:.3},", serve.speedup);
-    let _ = writeln!(j, "    \"available_parallelism\": {},", serve.parallelism);
-    let _ = writeln!(j, "    \"stats_equal\": true");
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"shared_cache\": {{");
-    let _ = writeln!(j, "    \"vcpus\": {},", shared.vcpus);
-    let _ = writeln!(j, "    \"kernel_iters\": {dispatch_iters},");
-    let _ = writeln!(j, "    \"hint_hits\": {},", shared.hint_hits);
-    let _ = writeln!(j, "    \"hint_misses\": {},", shared.hint_misses);
-    let _ = writeln!(j, "    \"hint_hit_rate\": {:.3},", shared.hint_hit_rate);
-    let _ = writeln!(
-        j,
-        "    \"translated_private\": {},",
-        shared.translated_private
-    );
-    let _ = writeln!(
-        j,
-        "    \"translated_shared\": {},",
-        shared.translated_shared
-    );
-    let _ = writeln!(
-        j,
-        "    \"translation_reduction\": {:.3},",
-        shared.translation_reduction
-    );
-    let _ = writeln!(j, "    \"secs_single\": {:.4},", shared.secs_single);
-    let _ = writeln!(j, "    \"secs_multi\": {:.4},", shared.secs_multi);
-    let _ = writeln!(j, "    \"mt_speedup\": {:.3},", shared.mt_speedup);
-    let _ = writeln!(j, "    \"available_parallelism\": {},", shared.parallelism);
-    let _ = writeln!(j, "    \"stats_equal\": true");
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"warm_start\": {{");
-    let _ = writeln!(j, "    \"requests\": {},", warm.requests);
-    let _ = writeln!(j, "    \"strategies\": {},", warm.strategies);
-    let _ = writeln!(
-        j,
-        "    \"cold_blocks_translated\": {},",
-        warm.cold_blocks_translated
-    );
-    let _ = writeln!(
-        j,
-        "    \"warm_blocks_translated\": {},",
-        warm.warm_blocks_translated
-    );
-    let _ = writeln!(
-        j,
-        "    \"translation_reduction\": {:.3},",
-        warm.translation_reduction
-    );
-    let _ = writeln!(j, "    \"images_saved\": {},", warm.images_saved);
-    let _ = writeln!(j, "    \"images_loaded\": {},", warm.images_loaded);
-    let _ = writeln!(j, "    \"blocks_preloaded\": {},", warm.blocks_preloaded);
-    let _ = writeln!(j, "    \"image_hits\": {},", warm.image_hits);
-    let _ = writeln!(j, "    \"stats_equal\": true");
-    let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"experiments\": [");
-    for (i, (name, _, took)) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"name\": \"{}\", \"secs\": {:.4}}}{comma}",
-            json_escape(name),
-            took.as_secs_f64()
-        );
-    }
-    let _ = writeln!(j, "  ]");
-    j.push_str("}\n");
+    // Emit BENCH_simulator.json through the workspace's one JSON writer:
+    // a single compact object and a trailing newline.
+    let mut j = String::new();
+    json::object(&mut j, |o| {
+        o.str("schema", "digitalbridge-sim-perf/11")
+            .u64("scale_outer_iters", scale.outer_iters as u64)
+            .object("mips", |o| {
+                o.u64("kernel_insns", insns)
+                    .f64("superblock", mips_sb, 2)
+                    .f64("per_insn", mips_stepper, 2)
+                    .f64("baseline", mips_base, 2)
+                    .f64("speedup", mips_speedup, 3);
+            })
+            .object("fig1", |o| {
+                o.f64("trace_secs", fig1_cur.as_secs_f64(), 4)
+                    .f64("baseline_secs", fig1_base.as_secs_f64(), 4)
+                    .f64("speedup", fig1_speedup, 3);
+            })
+            .object("dispatch", |o| {
+                o.str("strategy", "DPEH")
+                    .u64("kernel_iters", dispatch_iters as u64)
+                    .u64("monitor_exits_off", exits_off)
+                    .u64("monitor_exits_on", exits_on)
+                    .f64("monitor_exit_reduction", exit_reduction, 3)
+                    .array("kernels", |a| {
+                        for r in &dispatch_rows {
+                            a.object(|o| {
+                                o.str("name", r.name)
+                                    .u64("monitor_exits_off", r.off.monitor_exits)
+                                    .u64("monitor_exits_ibtc", r.ibtc.monitor_exits)
+                                    .u64("monitor_exits_on", r.on.monitor_exits)
+                                    .u64("ibtc_hits", r.on.ibtc_hits)
+                                    .u64("ras_hits", r.on.ras_hits)
+                                    .u64("chains", r.on.chains)
+                                    .u64("cycles_off", r.off.cycles())
+                                    .u64("cycles_ibtc", r.ibtc.cycles())
+                                    .u64("cycles_on", r.on.cycles())
+                                    .f64("secs_off", r.secs_off, 4)
+                                    .f64("secs_on", r.secs_on, 4);
+                            });
+                        }
+                    });
+            })
+            .object("trace", |o| {
+                o.u64("kernel_iters", trace_iters as u64)
+                    .f64("secs_off", trace_oh.secs_off, 4)
+                    .f64("secs_on", trace_oh.secs_on, 4)
+                    .f64("enabled_overhead_pct", trace_oh.overhead_pct, 3)
+                    .bool("cycles_equal", true)
+                    .u64("events", trace_oh.events as u64)
+                    .u64("sites", trace_oh.sites as u64)
+                    .u64("dropped", trace_oh.dropped)
+                    .f64("secs_stream", trace_oh.secs_stream, 4)
+                    .f64("stream_overhead_pct", trace_oh.stream_overhead_pct, 3)
+                    .bool("stream_cycles_equal", true)
+                    .u64("streamed_events", trace_oh.streamed_events);
+            })
+            .object("spans", |o| {
+                o.u64("kernel_iters", trace_iters as u64)
+                    .f64("secs_off", trace_oh.secs_off, 4)
+                    .f64("secs_spans", trace_oh.secs_spans, 4)
+                    .f64("span_overhead_pct", trace_oh.span_overhead_pct, 3)
+                    .bool("cycles_equal", true)
+                    .u64("span_count", trace_oh.span_count as u64)
+                    .u64("folded_frames", trace_oh.folded_frames as u64)
+                    .u64("dropped", trace_oh.span_dropped);
+            })
+            .object("watch", |o| {
+                o.u64("kernel_iters", watch_oh.kernel_iters as u64)
+                    .f64("secs_off", watch_oh.secs_off, 4)
+                    .f64("secs_watched", watch_oh.secs_watched, 4)
+                    .f64("watch_overhead_pct", watch_oh.overhead_pct, 3)
+                    .bool("cycles_equal", true)
+                    .u64("sites", watch_oh.sites as u64)
+                    .u64("rediverged", watch_oh.rediverged as u64)
+                    .u64("converged", watch_oh.converged as u64)
+                    .u64("transitions", watch_oh.transitions as u64)
+                    .u64("windows_closed", watch_oh.windows_closed);
+            })
+            .object("metrics", |o| {
+                o.str("document_schema", "bridge-metrics/1")
+                    .bool("well_formed", true)
+                    .u64("instruments", registry.len() as u64)
+                    .u64("dbt_traps", dbt_traps)
+                    .u64("dbt_blocks_translated", dbt_blocks);
+            })
+            .object("serve", |o| {
+                o.u64("shards", serve.shards as u64)
+                    .u64("requests", serve.requests as u64)
+                    .u64("specs", serve.specs as u64)
+                    .f64("secs_sequential", serve.secs_sequential, 4)
+                    .f64("secs_service", serve.secs_service, 4)
+                    .f64("speedup", serve.speedup, 3)
+                    .u64("available_parallelism", serve.parallelism as u64)
+                    .bool("stats_equal", true);
+            })
+            .object("shared_cache", |o| {
+                o.u64("vcpus", shared.vcpus as u64)
+                    .u64("kernel_iters", dispatch_iters as u64)
+                    .u64("hint_hits", shared.hint_hits)
+                    .u64("hint_misses", shared.hint_misses)
+                    .f64("hint_hit_rate", shared.hint_hit_rate, 3)
+                    .u64("translated_private", shared.translated_private)
+                    .u64("translated_shared", shared.translated_shared)
+                    .f64("translation_reduction", shared.translation_reduction, 3)
+                    .f64("secs_single", shared.secs_single, 4)
+                    .f64("secs_multi", shared.secs_multi, 4)
+                    .f64("mt_speedup", shared.mt_speedup, 3)
+                    .u64("available_parallelism", shared.parallelism as u64)
+                    .bool("stats_equal", true);
+            })
+            .object("warm_start", |o| {
+                o.u64("requests", warm.requests as u64)
+                    .u64("strategies", warm.strategies as u64)
+                    .u64("cold_blocks_translated", warm.cold_blocks_translated)
+                    .u64("warm_blocks_translated", warm.warm_blocks_translated)
+                    .f64("translation_reduction", warm.translation_reduction, 3)
+                    .u64("images_saved", warm.images_saved)
+                    .u64("images_loaded", warm.images_loaded)
+                    .u64("blocks_preloaded", warm.blocks_preloaded)
+                    .u64("image_hits", warm.image_hits)
+                    .bool("stats_equal", true);
+            })
+            .array("experiments", |a| {
+                for (name, _, took) in &results {
+                    a.object(|o| {
+                        o.str("name", name).f64("secs", took.as_secs_f64(), 4);
+                    });
+                }
+            });
+    });
+    j.push('\n');
     match std::fs::write("BENCH_simulator.json", &j) {
         Ok(()) => println!("\nwrote BENCH_simulator.json"),
         Err(e) => eprintln!("\nfailed to write BENCH_simulator.json: {e}"),

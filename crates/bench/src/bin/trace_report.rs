@@ -64,6 +64,7 @@
 
 use bridge_dbt::image::{strategy_tag, ImageStore};
 use bridge_dbt::{DbtConfig, MdaStrategy, StaticProfile};
+use bridge_metrics::json;
 use bridge_serve::{ExecService, KernelSpec, RunRequest, ServeConfig};
 use bridge_trace::{
     jsonl, ConvergenceVerdict, ScannedTrace, SiteWatch, SpanConfig, StreamingJsonl, TraceConfig,
@@ -278,16 +279,16 @@ fn run_watch(path: &str, window_cycles: u64) -> Result<ExitCode, String> {
     let mut watch = SiteWatch::new(WatchConfig::default().with_window_cycles(window_cycles));
     let mut events = 0u64;
     for line in text.lines() {
-        if jsonl::line_type(line) != Some("event") {
+        if json::str_member(line, "type") != Some("event") {
             continue;
         }
         let (Some(cycle), Some(kind)) = (
-            jsonl::u64_field(line, "cycle"),
-            jsonl::str_field(line, "kind"),
+            json::u64_member(line, "cycle"),
+            json::str_member(line, "kind"),
         ) else {
             continue;
         };
-        let pc = jsonl::u64_field(line, "pc").map(|p| p as u32);
+        let pc = json::u64_member(line, "pc").map(|p| p as u32);
         watch.observe_kind(cycle, kind, pc);
         events += 1;
     }
@@ -751,14 +752,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &opts.jsonl {
-        let mut f = match std::fs::File::create(path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("trace_report: cannot create {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = bridge_trace::jsonl::write(&trace, &mut f) {
+        if let Err(e) = std::fs::write(path, jsonl::to_string(&trace)) {
             eprintln!("trace_report: writing {path}: {e}");
             return ExitCode::FAILURE;
         }

@@ -28,8 +28,10 @@
 //! returns the inclusive upper bound of the bucket containing the
 //! requested rank, so the true quantile is never under-reported.
 
+pub mod json;
 pub mod timeseries;
 
+pub use json::json_escape;
 pub use timeseries::{
     Alert, AlertRules, AlertState, CounterWindow, GaugeWindow, HistogramWindow, SloKind, SloSpec,
     SloStatus, TimeSeries, Window, ALERTS_SCHEMA,
@@ -350,49 +352,35 @@ impl Registry {
     /// document. Instruments appear in name order within their kind, so
     /// the document is a pure function of the recorded values.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"");
-        out.push_str(SCHEMA);
-        out.push_str("\",\"counters\":{");
-        let counters = self.counters.lock().expect("metrics lock");
-        for (i, (name, c)) in counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{}", c.get()));
-        }
-        drop(counters);
-        out.push_str("},\"gauges\":{");
-        let gauges = self.gauges.lock().expect("metrics lock");
-        for (i, (name, g)) in gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{name}\":{{\"value\":{},\"high_watermark\":{}}}",
-                g.get(),
-                g.high_watermark()
-            ));
-        }
-        drop(gauges);
-        out.push_str("},\"histograms\":{");
-        let histograms = self.histograms.lock().expect("metrics lock");
-        for (i, (name, h)) in histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{name}\":{{\"count\":{},\"sum\":{},\"mean\":{},\
-                 \"p50\":{},\"p90\":{},\"p99\":{}}}",
-                h.count(),
-                h.sum(),
-                h.mean(),
-                h.p50(),
-                h.p90(),
-                h.p99()
-            ));
-        }
-        drop(histograms);
-        out.push_str("}}");
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.str("schema", SCHEMA)
+                .object("counters", |o| {
+                    for (name, c) in self.counters.lock().expect("metrics lock").iter() {
+                        o.u64(name, c.get());
+                    }
+                })
+                .object("gauges", |o| {
+                    for (name, g) in self.gauges.lock().expect("metrics lock").iter() {
+                        o.object(name, |o| {
+                            o.i64("value", g.get())
+                                .i64("high_watermark", g.high_watermark());
+                        });
+                    }
+                })
+                .object("histograms", |o| {
+                    for (name, h) in self.histograms.lock().expect("metrics lock").iter() {
+                        o.object(name, |o| {
+                            o.u64("count", h.count())
+                                .u64("sum", h.sum())
+                                .u64("mean", h.mean())
+                                .u64("p50", h.p50())
+                                .u64("p90", h.p90())
+                                .u64("p99", h.p99());
+                        });
+                    }
+                });
+        });
         out
     }
 
@@ -455,23 +443,6 @@ fn escape_help(help: &str) -> String {
         match c {
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Escapes `s` for the inside of a JSON string: quote and backslash
-/// take a backslash, control characters become `\uXXXX`.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' | '\\' => {
-                out.push('\\');
-                out.push(c);
-            }
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
@@ -561,48 +532,44 @@ impl HealthSnapshot {
     /// Renders the snapshot as one JSON line. Instruments appear in name
     /// order, so the line is a pure function of the sampled values.
     pub fn to_json_line(&self) -> String {
-        let mut out = String::from("{\"schema\":\"");
-        out.push_str(HEALTH_SCHEMA);
-        out.push_str("\",\"context\":\"");
-        out.push_str(&json_escape(&self.context));
-        out.push_str(&format!(
-            "\",\"seq\":{},\"window_us\":{},\"counters\":{{",
-            self.seq, self.window_us
-        ));
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"total\":{},\"delta\":{},\"rate_per_sec\":{}{}}}",
-                c.name,
-                c.total,
-                c.delta,
-                c.rate_per_sec,
-                if c.reset { ",\"reset\":true" } else { "" }
-            ));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"value\":{},\"high_watermark\":{}}}",
-                g.name, g.value, g.high_watermark
-            ));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"delta\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                h.name, h.count, h.delta, h.p50, h.p90, h.p99
-            ));
-        }
-        out.push_str("}}");
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.str("schema", HEALTH_SCHEMA)
+                .str("context", &self.context)
+                .u64("seq", self.seq)
+                .u64("window_us", self.window_us)
+                .object("counters", |o| {
+                    for c in &self.counters {
+                        o.object(&c.name, |o| {
+                            o.u64("total", c.total)
+                                .u64("delta", c.delta)
+                                .u64("rate_per_sec", c.rate_per_sec);
+                            if c.reset {
+                                o.bool("reset", true);
+                            }
+                        });
+                    }
+                })
+                .object("gauges", |o| {
+                    for g in &self.gauges {
+                        o.object(&g.name, |o| {
+                            o.i64("value", g.value)
+                                .i64("high_watermark", g.high_watermark);
+                        });
+                    }
+                })
+                .object("histograms", |o| {
+                    for h in &self.histograms {
+                        o.object(&h.name, |o| {
+                            o.u64("count", h.count)
+                                .u64("delta", h.delta)
+                                .u64("p50", h.p50)
+                                .u64("p90", h.p90)
+                                .u64("p99", h.p99);
+                        });
+                    }
+                });
+        });
         out
     }
 }

@@ -24,7 +24,7 @@
 //! Everything here is pure observation: nothing reads host time, and
 //! ticking a registry never perturbs the instruments it samples.
 
-use crate::{json_escape, quantile_of, Registry, HISTOGRAM_BUCKETS};
+use crate::{json, quantile_of, Registry, HISTOGRAM_BUCKETS};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Schema tag of the JSON document [`AlertRules::to_json`] renders.
@@ -540,44 +540,35 @@ impl AlertRules {
     /// ordering: rules in registration order, transitions oldest
     /// first).
     pub fn to_json(&self, ts: &TimeSeries) -> String {
-        let mut out = String::from("{\"schema\":\"");
-        out.push_str(ALERTS_SCHEMA);
-        out.push_str(&format!(
-            "\",\"seq\":{},\"windows\":{},\"ticks\":{},\"slos\":[",
-            ts.latest().map_or(0, |w| w.seq),
-            ts.len(),
-            ts.total_ticks()
-        ));
-        for (i, s) in self.statuses(ts).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"state\":\"{}\",\"fast_burn_permille\":{},\
-                 \"slow_burn_permille\":{},\"objective\":\"{}\"}}",
-                json_escape(&s.name),
-                if s.firing { "firing" } else { "ok" },
-                s.fast_burn_permille,
-                s.slow_burn_permille,
-                json_escape(&s.objective)
-            ));
-        }
-        out.push_str("],\"transitions\":[");
-        for (i, t) in self.transitions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"slo\":\"{}\",\"state\":\"{}\",\"seq\":{},\
-                 \"fast_burn_permille\":{},\"slow_burn_permille\":{}}}",
-                json_escape(&t.slo),
-                t.state.tag(),
-                t.seq,
-                t.fast_burn_permille,
-                t.slow_burn_permille
-            ));
-        }
-        out.push_str("]}");
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.str("schema", ALERTS_SCHEMA)
+                .u64("seq", ts.latest().map_or(0, |w| w.seq))
+                .u64("windows", ts.len() as u64)
+                .u64("ticks", ts.total_ticks())
+                .array("slos", |a| {
+                    for s in self.statuses(ts) {
+                        a.object(|o| {
+                            o.str("name", &s.name)
+                                .str("state", if s.firing { "firing" } else { "ok" })
+                                .u64("fast_burn_permille", s.fast_burn_permille)
+                                .u64("slow_burn_permille", s.slow_burn_permille)
+                                .str("objective", &s.objective);
+                        });
+                    }
+                })
+                .array("transitions", |a| {
+                    for t in &self.transitions {
+                        a.object(|o| {
+                            o.str("slo", &t.slo)
+                                .str("state", t.state.tag())
+                                .u64("seq", t.seq)
+                                .u64("fast_burn_permille", t.fast_burn_permille)
+                                .u64("slow_burn_permille", t.slow_burn_permille);
+                        });
+                    }
+                });
+        });
         out
     }
 }

@@ -32,7 +32,6 @@ use bridge_alpha::insn::{Insn, MemOp, Rb};
 use bridge_alpha::reg::Reg;
 use bridge_alpha::{decode, op, PAL_EXIT_MONITOR, PAL_HALT, PAL_REQUEST_MONITOR};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Maximum instructions per superblock. Bounds re-decode waste after a
@@ -43,24 +42,6 @@ const SB_MAX_INSNS: usize = 64;
 /// [`Memory`]'s internal page size — it is just a partition of the address
 /// space for finding blocks that overlap a patched word.
 const SB_PAGE_SHIFT: u32 = 12;
-
-/// Process-wide default for whether new [`Machine`]s use the superblock
-/// engine. Exists so the perf harness can build *identical* experiment code
-/// on both engines without threading a flag through every constructor.
-static BLOCK_ENGINE_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Sets the engine newly constructed [`Machine`]s (and
-/// [`NativeMachine`](crate::native::NativeMachine)s) default to:
-/// `true` = superblock/trace engine, `false` = per-instruction engine.
-/// Existing machines are unaffected; see [`Machine::set_superblocks`].
-pub fn set_block_engine_default(on: bool) {
-    BLOCK_ENGINE_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// Current process-wide engine default (see [`set_block_engine_default`]).
-pub fn block_engine_default() -> bool {
-    BLOCK_ENGINE_DEFAULT.load(Ordering::Relaxed)
-}
 
 /// A decoded straight-line run of instructions starting at [`Superblock::entry`].
 ///
@@ -153,7 +134,7 @@ impl Machine {
             stats: Stats::new(),
             decoded: HashMap::new(),
             sb: SbCache::default(),
-            use_superblocks: block_engine_default(),
+            use_superblocks: true,
             last_data_line: u64::MAX,
         }
     }

@@ -10,7 +10,6 @@
 //! working-set growth visible.
 
 use crate::cache::Cache;
-use crate::cpu::block_engine_default;
 use crate::hashing::FxHashMap;
 use crate::mem::Memory;
 use bridge_x86::decode::{decode, Decoded};
@@ -160,7 +159,7 @@ impl NativeMachine {
             stats: NativeStats::default(),
             decode_cache: HashMap::new(),
             traces: FxHashMap::default(),
-            use_traces: block_engine_default(),
+            use_traces: true,
             last_data_line: u64::MAX,
         }
     }

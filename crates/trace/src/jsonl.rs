@@ -1,15 +1,15 @@
-//! JSONL sink and line-scanning reader for traces.
+//! JSONL serialization of traces.
 //!
 //! One self-describing JSON object per line, in a fixed order: a `meta`
 //! header, the per-site table (ordered by guest PC), the timeline buckets
-//! (ordered by index), then the retained events (oldest first). The format
-//! is hand-rolled — no serde in-tree — and flat enough that the scanning
-//! helpers below ([`u64_field`], [`str_field`]) read it back without a
-//! JSON parser, which is what the integration tests and `trace_report` do.
+//! (ordered by index), then the retained events (oldest first). Every
+//! line goes through the workspace's one JSON writer
+//! ([`bridge_metrics::json`]), and readers — the scanner, `trace_report`
+//! and the tests — take lines apart with its reader
+//! ([`json::member`], [`json::u64_member`], [`json::str_member`]).
 
-use crate::{TraceEvent, TraceRecord, Tracer};
-use std::fmt::Write as _;
-use std::io;
+use crate::{SiteTelemetry, TraceEvent, TraceRecord, Tracer};
+use bridge_metrics::json::{self, Object};
 
 /// Schema tag written in the `meta` line.
 pub const SCHEMA: &str = "bridge-trace/1";
@@ -18,226 +18,121 @@ pub const SCHEMA: &str = "bridge-trace/1";
 pub fn to_string(t: &Tracer) -> String {
     let mut out = String::new();
     let tl = t.timeline();
-    let _ = writeln!(
-        out,
-        "{{\"type\":\"meta\",\"schema\":\"{SCHEMA}\",\"bucket_cycles\":{},\"buckets\":{},\
-         \"truncated\":{},\"folded_traps\":{},\"sites\":{},\"ring_events\":{},\"dropped\":{}}}",
-        tl.bucket_cycles(),
-        tl.active_buckets(),
-        tl.truncated(),
-        tl.folded_traps(),
-        t.sites().count(),
-        t.event_count(),
-        t.dropped(),
-    );
-    for (pc, s) in t.sites() {
-        let _ = writeln!(out, "{{\"type\":\"site\",\"pc\":{pc},{}}}", site_body(s));
-    }
-    let buckets = tl.active_buckets();
-    for i in 0..buckets {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"bucket\",\"index\":{i},\"traps\":{},\"monitor_exits\":{},\
-             \"patches\":{},\"guest_insns\":{}}}",
-            at(tl.traps(), i),
-            at(tl.monitor_exits(), i),
-            at(tl.patches(), i),
-            at(tl.guest_insns(), i),
-        );
-    }
+    push_line(&mut out, |o| {
+        o.str("type", "meta")
+            .str("schema", SCHEMA)
+            .u64("bucket_cycles", tl.bucket_cycles())
+            .u64("buckets", tl.active_buckets() as u64)
+            .bool("truncated", tl.truncated())
+            .u64("folded_traps", tl.folded_traps())
+            .u64("sites", t.sites().count() as u64)
+            .u64("ring_events", t.event_count() as u64)
+            .u64("dropped", t.dropped());
+    });
+    push_aggregates(&mut out, t);
     for rec in t.events() {
         push_event_line(&mut out, rec);
     }
     out
 }
 
-/// One `event` JSONL line (newline-terminated) for a single record — the
-/// shared layout between the whole-tracer serializer above and the
-/// incremental streaming sink ([`crate::sink::StreamingJsonl`]).
-pub fn event_line(rec: &TraceRecord) -> String {
-    let mut out = String::with_capacity(96);
-    push_event_line(&mut out, rec);
-    out
+/// Appends one newline-terminated JSON object line.
+pub(crate) fn push_line(out: &mut String, body: impl FnOnce(&mut Object<'_>)) {
+    json::object(out, body);
+    out.push('\n');
 }
 
-/// Appends one `event` line to `out` without touching the formatting
-/// machinery or allocating. This is the hot path of full-fidelity
-/// streaming — the sink serializes every ring-evicted record through it,
-/// so it must cost nanoseconds, not a `format!` call.
+/// Appends the `site` lines (by guest PC) then the `bucket` lines (by
+/// index) — the aggregate block shared by the whole-tracer serializer
+/// above and the streaming sink's finish
+/// ([`crate::sink::StreamingJsonl`]).
+pub(crate) fn push_aggregates(out: &mut String, t: &Tracer) {
+    for (pc, s) in t.sites() {
+        push_line(out, |o| {
+            o.str("type", "site").u64("pc", u64::from(pc));
+            site_fields(o, s);
+        });
+    }
+    let tl = t.timeline();
+    let at = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
+    for i in 0..tl.active_buckets() {
+        push_line(out, |o| {
+            o.str("type", "bucket")
+                .u64("index", i as u64)
+                .u64("traps", at(tl.traps(), i))
+                .u64("monitor_exits", at(tl.monitor_exits(), i))
+                .u64("patches", at(tl.patches(), i))
+                .u64("guest_insns", at(tl.guest_insns(), i));
+        });
+    }
+}
+
+/// Appends one `event` line. This is the hot path of full-fidelity
+/// streaming — the sink serializes every ring-evicted record through it
+/// into a reused buffer — and the writer's integer path keeps it free
+/// of allocation and `format!` machinery.
 pub fn push_event_line(out: &mut String, rec: &TraceRecord) {
-    out.push_str("{\"type\":\"event\",\"cycle\":");
-    push_u64(out, rec.cycle);
-    out.push_str(",\"kind\":\"");
-    out.push_str(rec.event.kind());
-    out.push_str("\",\"pc\":");
-    match rec.event.guest_pc() {
-        Some(pc) => push_u64(out, u64::from(pc)),
-        None => out.push_str("null"),
-    }
-    match rec.event {
-        TraceEvent::Trap { cycles, slot, .. } | TraceEvent::EhPatch { cycles, slot, .. } => {
-            out.push_str(",\"slot\":");
-            push_u64(out, u64::from(slot));
-            out.push_str(",\"cost\":");
-            push_u64(out, cycles);
-        }
-        TraceEvent::OsFixup { cycles, .. } => {
-            out.push_str(",\"cost\":");
-            push_u64(out, cycles);
-        }
-        TraceEvent::Rearrangement {
-            block_pc, cycles, ..
-        } => {
-            out.push_str(",\"block\":");
-            push_u64(out, u64::from(block_pc));
-            out.push_str(",\"cost\":");
-            push_u64(out, cycles);
-        }
-        TraceEvent::InCacheHits { ibtc, ras } => {
-            out.push_str(",\"ibtc\":");
-            push_u64(out, ibtc);
-            out.push_str(",\"ras\":");
-            push_u64(out, ras);
-        }
-        TraceEvent::ChainBackpatch { target_pc, .. } => {
-            out.push_str(",\"target\":");
-            push_u64(out, u64::from(target_pc));
-        }
-        TraceEvent::CacheFlush { blocks } | TraceEvent::ImageLoad { blocks } => {
-            out.push_str(",\"blocks\":");
-            push_u64(out, blocks);
-        }
-        TraceEvent::ImageReject { code } => {
-            out.push_str(",\"code\":");
-            push_u64(out, u64::from(code));
-        }
-        TraceEvent::EdgeAdmit { tenant, id } => {
-            out.push_str(",\"tenant\":");
-            push_u64(out, u64::from(tenant));
-            out.push_str(",\"id\":");
-            push_u64(out, id);
-        }
-        TraceEvent::EdgeShed { tenant, id, code } => {
-            out.push_str(",\"tenant\":");
-            push_u64(out, u64::from(tenant));
-            out.push_str(",\"id\":");
-            push_u64(out, id);
-            out.push_str(",\"code\":");
-            push_u64(out, u64::from(code));
-        }
-        TraceEvent::EdgeDeadline {
-            tenant,
-            id,
-            waited_us,
-        } => {
-            out.push_str(",\"tenant\":");
-            push_u64(out, u64::from(tenant));
-            out.push_str(",\"id\":");
-            push_u64(out, id);
-            out.push_str(",\"waited_us\":");
-            push_u64(out, waited_us);
-        }
-        _ => {}
-    }
-    out.push_str("}\n");
-}
-
-/// Appends `v` in decimal. u64::MAX is 20 digits, so the stack buffer
-/// always fits.
-fn push_u64(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
-}
-
-/// Writes the tracer as JSONL to `w`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `w`.
-pub fn write<W: io::Write>(t: &Tracer, w: &mut W) -> io::Result<()> {
-    w.write_all(to_string(t).as_bytes())
+    push_line(out, |o| {
+        o.str("type", "event")
+            .u64("cycle", rec.cycle)
+            .str("kind", rec.event.kind())
+            .opt_u64("pc", rec.event.guest_pc().map(u64::from));
+        match rec.event {
+            TraceEvent::Trap { cycles, slot, .. } | TraceEvent::EhPatch { cycles, slot, .. } => {
+                o.u64("slot", u64::from(slot)).u64("cost", cycles)
+            }
+            TraceEvent::OsFixup { cycles, .. } => o.u64("cost", cycles),
+            TraceEvent::Rearrangement {
+                block_pc, cycles, ..
+            } => o.u64("block", u64::from(block_pc)).u64("cost", cycles),
+            TraceEvent::InCacheHits { ibtc, ras } => o.u64("ibtc", ibtc).u64("ras", ras),
+            TraceEvent::ChainBackpatch { target_pc, .. } => o.u64("target", u64::from(target_pc)),
+            TraceEvent::CacheFlush { blocks } | TraceEvent::ImageLoad { blocks } => {
+                o.u64("blocks", blocks)
+            }
+            TraceEvent::ImageReject { code } => o.u64("code", u64::from(code)),
+            TraceEvent::EdgeAdmit { tenant, id } => {
+                o.u64("tenant", u64::from(tenant)).u64("id", id)
+            }
+            TraceEvent::EdgeShed { tenant, id, code } => o
+                .u64("tenant", u64::from(tenant))
+                .u64("id", id)
+                .u64("code", u64::from(code)),
+            TraceEvent::EdgeDeadline {
+                tenant,
+                id,
+                waited_us,
+            } => o
+                .u64("tenant", u64::from(tenant))
+                .u64("id", id)
+                .u64("waited_us", waited_us),
+            _ => o,
+        };
+    });
 }
 
 /// The shared field tail of a site line (everything after the key
-/// fields), used by both the per-run sink above and the merged
+/// fields), used by both the per-run lines above and the merged
 /// multi-guest table ([`crate::merge::MergedSiteTable::to_jsonl`]) so
 /// readers scan one layout.
-pub(crate) fn site_body(s: &crate::SiteTelemetry) -> String {
-    format!(
-        "\"traps\":{},\"os_fixups\":{},\"patches\":{},\
-         \"rearrangements\":{},\"reversions\":{},\"first_trap_cycle\":{},\
-         \"patch_cycle\":{},\"cycles_attributed\":{},\"execs\":{},\"mdas\":{}",
-        s.traps,
-        s.os_fixups,
-        s.patches,
-        s.rearrangements,
-        s.reversions,
-        opt(s.first_trap_cycle),
-        opt(s.patch_cycle),
-        s.cycles_attributed,
-        s.execs,
-        s.mdas,
-    )
-}
-
-fn opt(v: Option<u64>) -> String {
-    match v {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
-    }
-}
-
-fn at(v: &[u64], i: usize) -> u64 {
-    v.get(i).copied().unwrap_or(0)
-}
-
-/// Scans a JSONL line for `"key":<number>`; `null` and absent both yield
-/// `None`.
-pub fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let raw = raw_field(line, key)?;
-    raw.parse::<u64>().ok()
-}
-
-/// Scans a JSONL line for `"key":"value"`, returning the unquoted value.
-pub fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let raw = raw_field(line, key)?;
-    raw.strip_prefix('"')?.strip_suffix('"')
-}
-
-/// The `type` tag of a JSONL line.
-pub fn line_type(line: &str) -> Option<&str> {
-    str_field(line, "type")
-}
-
-/// Scans a JSONL line for `"key":` and returns the raw value token —
-/// quoted strings keep their quotes, numbers and `null`/booleans come back
-/// verbatim. The building block under [`u64_field`] / [`str_field`],
-/// exposed for scanners that need to distinguish `null` from absent.
-pub fn raw_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)? + needle.len();
-    let rest = &line[at..];
-    let end = if let Some(quoted) = rest.strip_prefix('"') {
-        quoted.find('"').map(|i| i + 2)?
-    } else {
-        rest.find([',', '}']).unwrap_or(rest.len())
-    };
-    Some(rest[..end].trim())
+pub(crate) fn site_fields(o: &mut Object<'_>, s: &SiteTelemetry) {
+    o.u64("traps", s.traps)
+        .u64("os_fixups", s.os_fixups)
+        .u64("patches", s.patches)
+        .u64("rearrangements", s.rearrangements)
+        .u64("reversions", s.reversions)
+        .opt_u64("first_trap_cycle", s.first_trap_cycle)
+        .opt_u64("patch_cycle", s.patch_cycle)
+        .u64("cycles_attributed", s.cycles_attributed)
+        .u64("execs", s.execs)
+        .u64("mdas", s.mdas);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::TraceConfig;
+    use json::{str_member, u64_member};
 
     fn sample() -> Tracer {
         let mut t = Tracer::new(
@@ -272,50 +167,45 @@ mod tests {
     fn roundtrip_via_scanners() {
         let s = to_string(&sample());
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(line_type(lines[0]), Some("meta"));
-        assert_eq!(str_field(lines[0], "schema"), Some(SCHEMA));
-        assert_eq!(u64_field(lines[0], "bucket_cycles"), Some(100));
-        assert_eq!(u64_field(lines[0], "sites"), Some(1));
+        assert_eq!(str_member(lines[0], "type"), Some("meta"));
+        assert_eq!(str_member(lines[0], "schema"), Some(SCHEMA));
+        assert_eq!(u64_member(lines[0], "bucket_cycles"), Some(100));
+        assert_eq!(u64_member(lines[0], "sites"), Some(1));
 
-        let site = lines.iter().find(|l| line_type(l) == Some("site")).unwrap();
-        assert_eq!(u64_field(site, "pc"), Some(0x40));
-        assert_eq!(u64_field(site, "traps"), Some(1));
-        assert_eq!(u64_field(site, "patch_cycle"), Some(20));
-        assert_eq!(u64_field(site, "execs"), Some(12));
-        assert_eq!(u64_field(site, "mdas"), Some(7));
+        let site = lines
+            .iter()
+            .find(|l| str_member(l, "type") == Some("site"))
+            .unwrap();
+        assert_eq!(u64_member(site, "pc"), Some(0x40));
+        assert_eq!(u64_member(site, "traps"), Some(1));
+        assert_eq!(u64_member(site, "patch_cycle"), Some(20));
+        assert_eq!(u64_member(site, "execs"), Some(12));
+        assert_eq!(u64_member(site, "mdas"), Some(7));
 
         let buckets: Vec<&&str> = lines
             .iter()
-            .filter(|l| line_type(l) == Some("bucket"))
+            .filter(|l| str_member(l, "type") == Some("bucket"))
             .collect();
         assert_eq!(buckets.len(), 2);
-        assert_eq!(u64_field(buckets[0], "traps"), Some(1));
-        assert_eq!(u64_field(buckets[0], "patches"), Some(1));
-        assert_eq!(u64_field(buckets[1], "monitor_exits"), Some(1));
-        assert_eq!(u64_field(buckets[1], "guest_insns"), Some(400));
+        assert_eq!(u64_member(buckets[0], "traps"), Some(1));
+        assert_eq!(u64_member(buckets[0], "patches"), Some(1));
+        assert_eq!(u64_member(buckets[1], "monitor_exits"), Some(1));
+        assert_eq!(u64_member(buckets[1], "guest_insns"), Some(400));
 
         let events: Vec<&&str> = lines
             .iter()
-            .filter(|l| line_type(l) == Some("event"))
+            .filter(|l| str_member(l, "type") == Some("event"))
             .collect();
         assert_eq!(events.len(), 4);
-        assert_eq!(str_field(events[0], "kind"), Some("trap"));
-        assert_eq!(u64_field(events[0], "cost"), Some(1000));
-        assert_eq!(str_field(events[3], "kind"), Some("in_cache_hits"));
-        assert_eq!(u64_field(events[3], "ibtc"), Some(5));
-        assert_eq!(u64_field(events[3], "pc"), None, "no attribution is null");
+        assert_eq!(str_member(events[0], "kind"), Some("trap"));
+        assert_eq!(u64_member(events[0], "cost"), Some(1000));
+        assert_eq!(str_member(events[3], "kind"), Some("in_cache_hits"));
+        assert_eq!(u64_member(events[3], "ibtc"), Some(5));
+        assert_eq!(u64_member(events[3], "pc"), None, "no attribution is null");
     }
 
     #[test]
     fn serialization_is_deterministic() {
         assert_eq!(to_string(&sample()), to_string(&sample()));
-    }
-
-    #[test]
-    fn write_matches_to_string() {
-        let t = sample();
-        let mut buf = Vec::new();
-        write(&t, &mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), to_string(&t));
     }
 }

@@ -11,7 +11,6 @@
 
 use crate::{jsonl, SiteTelemetry, Tracer};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Schema tag written in the merged table's `meta` line.
 pub const MERGED_SCHEMA: &str = "bridge-trace-merged/1";
@@ -83,17 +82,19 @@ impl MergedSiteTable {
             .map(|&(g, _)| g)
             .collect::<std::collections::BTreeSet<u64>>()
             .len();
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"meta\",\"schema\":\"{MERGED_SCHEMA}\",\"rows\":{},\"guests\":{guests}}}",
-            self.rows.len(),
-        );
+        jsonl::push_line(&mut out, |o| {
+            o.str("type", "meta")
+                .str("schema", MERGED_SCHEMA)
+                .u64("rows", self.rows.len() as u64)
+                .u64("guests", guests as u64);
+        });
         for (&(guest, pc), s) in &self.rows {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"merged_site\",\"guest\":{guest},\"pc\":{pc},{}}}",
-                jsonl::site_body(s),
-            );
+            jsonl::push_line(&mut out, |o| {
+                o.str("type", "merged_site")
+                    .u64("guest", guest)
+                    .u64("pc", u64::from(pc));
+                jsonl::site_fields(o, s);
+            });
         }
         out
     }
@@ -123,6 +124,7 @@ pub fn hot_n(
 mod tests {
     use super::*;
     use crate::{TraceConfig, TraceEvent};
+    use bridge_metrics::json::{str_member, u64_member};
 
     fn guest_tracer(pc: u32, traps: u64, cost: u64) -> Tracer {
         let mut t = Tracer::new(&TraceConfig::default().with_bucket_cycles(100));
@@ -228,8 +230,8 @@ mod tests {
         // The JSONL export round-trips the full 64-bit index.
         let s = m.to_jsonl();
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(jsonl::u64_field(lines[0], "guests"), Some(2));
-        assert_eq!(jsonl::u64_field(lines[2], "guest"), Some((1u64 << 32) | 1));
+        assert_eq!(u64_member(lines[0], "guests"), Some(2));
+        assert_eq!(u64_member(lines[2], "guest"), Some((1u64 << 32) | 1));
     }
 
     #[test]
@@ -245,13 +247,13 @@ mod tests {
 
         let s = a.to_jsonl();
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(jsonl::line_type(lines[0]), Some("meta"));
-        assert_eq!(jsonl::str_field(lines[0], "schema"), Some(MERGED_SCHEMA));
-        assert_eq!(jsonl::u64_field(lines[0], "rows"), Some(2));
-        assert_eq!(jsonl::u64_field(lines[0], "guests"), Some(2));
-        assert_eq!(jsonl::line_type(lines[1]), Some("merged_site"));
-        assert_eq!(jsonl::u64_field(lines[1], "guest"), Some(0));
-        assert_eq!(jsonl::u64_field(lines[1], "pc"), Some(0x40));
-        assert_eq!(jsonl::u64_field(lines[1], "traps"), Some(2));
+        assert_eq!(str_member(lines[0], "type"), Some("meta"));
+        assert_eq!(str_member(lines[0], "schema"), Some(MERGED_SCHEMA));
+        assert_eq!(u64_member(lines[0], "rows"), Some(2));
+        assert_eq!(u64_member(lines[0], "guests"), Some(2));
+        assert_eq!(str_member(lines[1], "type"), Some("merged_site"));
+        assert_eq!(u64_member(lines[1], "guest"), Some(0));
+        assert_eq!(u64_member(lines[1], "pc"), Some(0x40));
+        assert_eq!(u64_member(lines[1], "traps"), Some(2));
     }
 }

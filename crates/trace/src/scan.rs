@@ -15,6 +15,7 @@
 //! guest PC and by timeline bucket.
 
 use crate::{jsonl, SiteTelemetry, Timeline};
+use bridge_metrics::json::{member, str_member, u64_member};
 use std::collections::BTreeMap;
 
 /// Schema versions this scanner knows how to interpret.
@@ -84,13 +85,13 @@ impl ScannedTrace {
         let mut warnings = ScanWarnings::default();
 
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let Some(ty) = jsonl::line_type(line) else {
+            let Some(ty) = str_member(line, "type") else {
                 warnings.malformed += 1;
                 continue;
             };
             match ty {
                 "meta" | "summary" => {
-                    match jsonl::str_field(line, "schema") {
+                    match str_member(line, "schema") {
                         Some(s) if KNOWN_SCHEMAS.contains(&s) => {
                             schema.get_or_insert_with(|| s.to_string());
                         }
@@ -100,41 +101,37 @@ impl ScannedTrace {
                         }
                         None => warnings.malformed += 1,
                     }
-                    if let Some(v) = jsonl::u64_field(line, "bucket_cycles") {
+                    if let Some(v) = u64_member(line, "bucket_cycles") {
                         bucket_cycles = v;
                     }
-                    if jsonl::raw_field(line, "truncated") == Some("true") {
+                    if member(line, "truncated") == Some("true") {
                         truncated = true;
                     }
-                    if let Some(v) = jsonl::u64_field(line, "folded_traps") {
+                    if let Some(v) = u64_member(line, "folded_traps") {
                         folded_traps = v;
                     }
-                    if let Some(v) = jsonl::u64_field(line, "dropped") {
+                    if let Some(v) = u64_member(line, "dropped") {
                         dropped = v;
                     }
                 }
-                "site" => match jsonl::u64_field(line, "pc") {
+                "site" => match u64_member(line, "pc") {
                     Some(pc) => {
                         sites.insert(pc as u32, scan_site(line));
                     }
                     None => warnings.malformed += 1,
                 },
-                "bucket" => match jsonl::u64_field(line, "index") {
+                "bucket" => match u64_member(line, "index") {
                     Some(i) => {
                         let i = i as usize;
-                        set_at(&mut traps, i, jsonl::u64_field(line, "traps"));
-                        set_at(
-                            &mut monitor_exits,
-                            i,
-                            jsonl::u64_field(line, "monitor_exits"),
-                        );
-                        set_at(&mut patches, i, jsonl::u64_field(line, "patches"));
-                        set_at(&mut guest_insns, i, jsonl::u64_field(line, "guest_insns"));
+                        set_at(&mut traps, i, u64_member(line, "traps"));
+                        set_at(&mut monitor_exits, i, u64_member(line, "monitor_exits"));
+                        set_at(&mut patches, i, u64_member(line, "patches"));
+                        set_at(&mut guest_insns, i, u64_member(line, "guest_insns"));
                     }
                     None => warnings.malformed += 1,
                 },
                 "event" => events += 1,
-                // The merged multi-guest table shares the scanner helpers
+                // The merged multi-guest table shares the line reader
                 // but not this aggregate shape.
                 _ => warnings.unknown_records += 1,
             }
@@ -165,15 +162,15 @@ impl ScannedTrace {
 }
 
 fn scan_site(line: &str) -> SiteTelemetry {
-    let f = |key| jsonl::u64_field(line, key).unwrap_or(0);
+    let f = |key| u64_member(line, key).unwrap_or(0);
     SiteTelemetry {
         traps: f("traps"),
         os_fixups: f("os_fixups"),
         patches: f("patches"),
         rearrangements: f("rearrangements"),
         reversions: f("reversions"),
-        first_trap_cycle: jsonl::u64_field(line, "first_trap_cycle"),
-        patch_cycle: jsonl::u64_field(line, "patch_cycle"),
+        first_trap_cycle: u64_member(line, "first_trap_cycle"),
+        patch_cycle: u64_member(line, "patch_cycle"),
         cycles_attributed: f("cycles_attributed"),
         execs: f("execs"),
         mdas: f("mdas"),

@@ -113,10 +113,11 @@ impl<W: io::Write + Send> StreamingJsonl<W> {
 
     fn ensure_header(&mut self) -> io::Result<()> {
         if !self.header_written {
-            writeln!(
-                self.w,
-                "{{\"type\":\"meta\",\"schema\":\"{STREAM_SCHEMA}\"}}"
-            )?;
+            self.line.clear();
+            jsonl::push_line(&mut self.line, |o| {
+                o.str("type", "meta").str("schema", STREAM_SCHEMA);
+            });
+            self.w.write_all(self.line.as_bytes())?;
             self.header_written = true;
         }
         Ok(())
@@ -135,39 +136,21 @@ impl<W: io::Write + Send + 'static> TraceSink for StreamingJsonl<W> {
 
     fn finish(&mut self, tracer: &Tracer) -> io::Result<()> {
         self.ensure_header()?;
-        for (pc, s) in tracer.sites() {
-            writeln!(
-                self.w,
-                "{{\"type\":\"site\",\"pc\":{pc},{}}}",
-                jsonl::site_body(s)
-            )?;
-        }
+        self.line.clear();
+        jsonl::push_aggregates(&mut self.line, tracer);
         let tl = tracer.timeline();
-        let at = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
-        for i in 0..tl.active_buckets() {
-            writeln!(
-                self.w,
-                "{{\"type\":\"bucket\",\"index\":{i},\"traps\":{},\"monitor_exits\":{},\
-                 \"patches\":{},\"guest_insns\":{}}}",
-                at(tl.traps(), i),
-                at(tl.monitor_exits(), i),
-                at(tl.patches(), i),
-                at(tl.guest_insns(), i),
-            )?;
-        }
-        writeln!(
-            self.w,
-            "{{\"type\":\"summary\",\"schema\":\"{STREAM_SCHEMA}\",\"events\":{},\
-             \"sites\":{},\"buckets\":{},\"bucket_cycles\":{},\"truncated\":{},\
-             \"folded_traps\":{},\"dropped\":{}}}",
-            self.events,
-            tracer.sites().count(),
-            tl.active_buckets(),
-            tl.bucket_cycles(),
-            tl.truncated(),
-            tl.folded_traps(),
-            tracer.dropped(),
-        )?;
+        jsonl::push_line(&mut self.line, |o| {
+            o.str("type", "summary")
+                .str("schema", STREAM_SCHEMA)
+                .u64("events", self.events)
+                .u64("sites", tracer.sites().count() as u64)
+                .u64("buckets", tl.active_buckets() as u64)
+                .u64("bucket_cycles", tl.bucket_cycles())
+                .bool("truncated", tl.truncated())
+                .u64("folded_traps", tl.folded_traps())
+                .u64("dropped", tracer.dropped());
+        });
+        self.w.write_all(self.line.as_bytes())?;
         self.w.flush()
     }
 
@@ -180,6 +163,7 @@ impl<W: io::Write + Send + 'static> TraceSink for StreamingJsonl<W> {
 mod tests {
     use super::*;
     use crate::{TraceConfig, TraceEvent};
+    use bridge_metrics::json::{str_member, u64_member};
 
     fn trap(pc: u32) -> TraceEvent {
         TraceEvent::Trap {
@@ -231,19 +215,19 @@ mod tests {
 
         let text = String::from_utf8(a).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(jsonl::line_type(lines[0]), Some("meta"));
-        assert_eq!(jsonl::str_field(lines[0], "schema"), Some(STREAM_SCHEMA));
+        assert_eq!(str_member(lines[0], "type"), Some("meta"));
+        assert_eq!(str_member(lines[0], "schema"), Some(STREAM_SCHEMA));
         let cycles: Vec<u64> = lines
             .iter()
-            .filter(|l| jsonl::line_type(l) == Some("event"))
-            .map(|l| jsonl::u64_field(l, "cycle").unwrap())
+            .filter(|l| str_member(l, "type") == Some("event"))
+            .map(|l| u64_member(l, "cycle").unwrap())
             .collect();
         assert_eq!(cycles.len(), 12, "full fidelity past the ring capacity");
         assert!(cycles.windows(2).all(|w| w[0] <= w[1]), "oldest first");
         let summary = lines.last().unwrap();
-        assert_eq!(jsonl::line_type(summary), Some("summary"));
-        assert_eq!(jsonl::u64_field(summary, "events"), Some(12));
-        assert_eq!(jsonl::u64_field(summary, "dropped"), Some(0));
+        assert_eq!(str_member(summary, "type"), Some("summary"));
+        assert_eq!(u64_member(summary, "events"), Some(12));
+        assert_eq!(u64_member(summary, "dropped"), Some(0));
     }
 
     #[test]
@@ -262,7 +246,7 @@ mod tests {
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "meta + summary");
-        assert_eq!(jsonl::u64_field(lines[1], "events"), Some(0));
+        assert_eq!(u64_member(lines[1], "events"), Some(0));
     }
 
     /// An erroring writer detaches the sink and surfaces the error instead

@@ -27,6 +27,7 @@
 //! JSONL with wall stamps off, the Chrome export, the folded stacks — is
 //! a pure function of the simulated execution.
 
+use bridge_metrics::json;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -470,33 +471,26 @@ impl SpanRecorder {
     /// this is a pure function of the simulated execution.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"span_meta\",\"schema\":\"{SCHEMA}\",\"scope\":\"{}\",\
-             \"spans\":{},\"dropped\":{},\"open\":{}}}",
-            self.scope,
-            self.spans.len(),
-            self.dropped,
-            self.open.len(),
-        );
+        crate::jsonl::push_line(&mut out, |o| {
+            o.str("type", "span_meta")
+                .str("schema", SCHEMA)
+                .str("scope", &self.scope)
+                .u64("spans", self.spans.len() as u64)
+                .u64("dropped", self.dropped)
+                .u64("open", self.open.len() as u64);
+        });
         for rec in &self.spans {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"kind\":\"{}\",\"pc\":{},\
-                 \"start_cycle\":{},\"end_cycle\":{},\"wall_start_us\":{},\"wall_end_us\":{}}}",
-                rec.id,
-                opt_u64(if rec.parent == 0 {
-                    None
-                } else {
-                    Some(rec.parent)
-                }),
-                rec.kind.name(),
-                opt_u64(rec.guest_pc.map(u64::from)),
-                rec.start_cycle,
-                rec.end_cycle,
-                opt_u64(rec.wall_start_us),
-                opt_u64(rec.wall_end_us),
-            );
+            crate::jsonl::push_line(&mut out, |o| {
+                o.str("type", "span")
+                    .u64("id", rec.id)
+                    .opt_u64("parent", (rec.parent != 0).then_some(rec.parent))
+                    .str("kind", rec.kind.name())
+                    .opt_u64("pc", rec.guest_pc.map(u64::from))
+                    .u64("start_cycle", rec.start_cycle)
+                    .u64("end_cycle", rec.end_cycle)
+                    .opt_u64("wall_start_us", rec.wall_start_us)
+                    .opt_u64("wall_end_us", rec.wall_end_us);
+            });
         }
         out
     }
@@ -520,33 +514,30 @@ impl SpanRecorder {
             }
             id
         };
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        for (i, rec) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":1,\"tid\":{},\"args\":{{\"id\":{},\"parent\":{},\"pc\":{}}}}}",
-                rec.frame(),
-                rec.kind.name(),
-                rec.start_cycle,
-                rec.cycles(),
-                root_of(rec.id),
-                rec.id,
-                opt_u64(if rec.parent == 0 {
-                    None
-                } else {
-                    Some(rec.parent)
-                }),
-                match rec.guest_pc {
-                    Some(pc) => format!("\"0x{pc:x}\""),
-                    None => "null".to_string(),
-                },
-            );
-        }
-        out.push_str("]}");
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.str("displayTimeUnit", "ms").array("traceEvents", |a| {
+                for rec in &self.spans {
+                    a.object(|o| {
+                        o.str("name", &rec.frame())
+                            .str("cat", rec.kind.name())
+                            .str("ph", "X")
+                            .u64("ts", rec.start_cycle)
+                            .u64("dur", rec.cycles())
+                            .u64("pid", 1)
+                            .u64("tid", root_of(rec.id))
+                            .object("args", |o| {
+                                o.u64("id", rec.id)
+                                    .opt_u64("parent", (rec.parent != 0).then_some(rec.parent))
+                                    .opt_str(
+                                        "pc",
+                                        rec.guest_pc.map(|pc| format!("0x{pc:x}")).as_deref(),
+                                    );
+                            });
+                    });
+                }
+            });
+        });
         out
     }
 
@@ -704,13 +695,6 @@ fn push_frame(out: &mut String, rec: &SpanRecord) {
     }
 }
 
-fn opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -810,21 +794,21 @@ mod tests {
         let out = r.to_jsonl();
         assert_eq!(out, sample().to_jsonl(), "wall stamps off => pure");
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(crate::jsonl::line_type(lines[0]), Some("span_meta"));
-        assert_eq!(crate::jsonl::str_field(lines[0], "schema"), Some(SCHEMA));
-        assert_eq!(crate::jsonl::str_field(lines[0], "scope"), Some("eh"));
-        assert_eq!(crate::jsonl::u64_field(lines[0], "spans"), Some(5));
-        assert_eq!(crate::jsonl::u64_field(lines[0], "dropped"), Some(0));
+        assert_eq!(json::str_member(lines[0], "type"), Some("span_meta"));
+        assert_eq!(json::str_member(lines[0], "schema"), Some(SCHEMA));
+        assert_eq!(json::str_member(lines[0], "scope"), Some("eh"));
+        assert_eq!(json::u64_member(lines[0], "spans"), Some(5));
+        assert_eq!(json::u64_member(lines[0], "dropped"), Some(0));
         let span = lines[1];
-        assert_eq!(crate::jsonl::line_type(span), Some("span"));
-        assert_eq!(crate::jsonl::str_field(span, "kind"), Some("translate"));
-        assert_eq!(crate::jsonl::u64_field(span, "pc"), Some(0x40));
-        assert_eq!(crate::jsonl::u64_field(span, "start_cycle"), Some(100));
-        assert_eq!(crate::jsonl::u64_field(span, "end_cycle"), Some(250));
-        assert_eq!(crate::jsonl::u64_field(span, "wall_start_us"), None);
+        assert_eq!(json::str_member(span, "type"), Some("span"));
+        assert_eq!(json::str_member(span, "kind"), Some("translate"));
+        assert_eq!(json::u64_member(span, "pc"), Some(0x40));
+        assert_eq!(json::u64_member(span, "start_cycle"), Some(100));
+        assert_eq!(json::u64_member(span, "end_cycle"), Some(250));
+        assert_eq!(json::u64_member(span, "wall_start_us"), None);
         let run = lines[5];
-        assert_eq!(crate::jsonl::str_field(run, "kind"), Some("run"));
-        assert_eq!(crate::jsonl::raw_field(run, "parent"), Some("null"));
+        assert_eq!(json::str_member(run, "kind"), Some("run"));
+        assert_eq!(json::member(run, "parent"), Some("null"));
     }
 
     #[test]

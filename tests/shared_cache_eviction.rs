@@ -5,6 +5,7 @@
 
 use digitalbridge::dbt::engine::GuestProgram;
 use digitalbridge::dbt::{Dbt, DbtConfig, MdaStrategy, SharedCodeCache};
+use digitalbridge::metrics::json;
 use digitalbridge::sim::{CostModel, Machine};
 use digitalbridge::trace::{jsonl, TraceConfig, TraceEvent};
 use digitalbridge::x86::asm::Assembler;
@@ -120,7 +121,8 @@ fn evict_events_serialize_with_their_guest_pc() {
     let evict_lines: Vec<&str> = text
         .lines()
         .filter(|l| {
-            jsonl::line_type(l) == Some("event") && jsonl::str_field(l, "kind") == Some("evict")
+            json::str_member(l, "type") == Some("event")
+                && json::str_member(l, "kind") == Some("evict")
         })
         .collect();
     assert_eq!(evict_lines.len() as u64, shared.stats().evictions);
@@ -133,7 +135,7 @@ fn evict_events_serialize_with_their_guest_pc() {
         .collect();
     let in_jsonl: Vec<u64> = evict_lines
         .iter()
-        .map(|l| jsonl::u64_field(l, "pc").expect("evict line carries its pc"))
+        .map(|l| json::u64_member(l, "pc").expect("evict line carries its pc"))
         .collect();
     assert_eq!(in_ring, in_jsonl);
 }

@@ -5,7 +5,7 @@
 //! registry) never changes simulated results.
 
 use digitalbridge::dbt::{DbtConfig, MdaStrategy};
-use digitalbridge::metrics::Registry;
+use digitalbridge::metrics::{json, Registry};
 use digitalbridge::trace::{jsonl, ScannedTrace, StreamingJsonl, TraceConfig};
 use digitalbridge::workloads::kernels::{phase_change_sum, Kernel};
 use digitalbridge::Dbt;
@@ -82,9 +82,9 @@ fn streaming_captures_full_fidelity_past_ring_capacity() {
     let mut last = 0u64;
     for line in text
         .lines()
-        .filter(|l| jsonl::line_type(l) == Some("event"))
+        .filter(|l| json::str_member(l, "type") == Some("event"))
     {
-        let c = jsonl::u64_field(line, "cycle").expect("events carry cycles");
+        let c = json::u64_member(line, "cycle").expect("events carry cycles");
         assert!(c >= last, "events stream in cycle order");
         last = c;
     }

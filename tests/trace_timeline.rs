@@ -10,6 +10,7 @@
 //! threads (the property `repro_all --jobs` relies on).
 
 use digitalbridge::dbt::{DbtConfig, MdaStrategy};
+use digitalbridge::metrics::json;
 use digitalbridge::trace::{jsonl, TraceConfig, Tracer};
 use digitalbridge::workloads::kernels::{phase_change_sum, Kernel};
 use digitalbridge::Dbt;
@@ -34,11 +35,11 @@ fn run_traced(cfg: DbtConfig, k: &Kernel) -> (digitalbridge::dbt::RunReport, Tra
 /// bucket index.
 fn bucket_series(text: &str) -> Vec<(u64, u64)> {
     text.lines()
-        .filter(|l| jsonl::line_type(l) == Some("bucket"))
+        .filter(|l| json::str_member(l, "type") == Some("bucket"))
         .map(|l| {
             (
-                jsonl::u64_field(l, "traps").expect("traps field"),
-                jsonl::u64_field(l, "patches").expect("patches field"),
+                json::u64_member(l, "traps").expect("traps field"),
+                json::u64_member(l, "patches").expect("patches field"),
             )
         })
         .collect()
@@ -69,11 +70,12 @@ fn eh_and_dpeh_trap_rate_decays_after_last_patch() {
         let site = text
             .lines()
             .find(|l| {
-                jsonl::line_type(l) == Some("site") && jsonl::u64_field(l, "traps").unwrap_or(0) > 0
+                json::str_member(l, "type") == Some("site")
+                    && json::u64_member(l, "traps").unwrap_or(0) > 0
             })
             .expect("the trapping site is in the table");
-        let first_trap = jsonl::u64_field(site, "first_trap_cycle").expect("discovered");
-        let patched = jsonl::u64_field(site, "patch_cycle").expect("fixed");
+        let first_trap = json::u64_member(site, "first_trap_cycle").expect("discovered");
+        let patched = json::u64_member(site, "patch_cycle").expect("fixed");
         assert!(patched >= first_trap, "{strategy:?}: fix after discovery");
     }
 }
