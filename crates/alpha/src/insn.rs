@@ -388,6 +388,7 @@ impl OpFn {
     /// # Panics
     ///
     /// Panics if `self` is not a conditional move.
+    #[inline]
     pub fn cmov_taken(self, ra: u64) -> bool {
         match self {
             OpFn::Cmoveq => ra == 0,

@@ -43,14 +43,19 @@ fn shr_sat(v: u64, amount: u32) -> u64 {
 
 /// Applies a `zap`-style byte mask: clears byte `i` of `v` when bit `i` of
 /// `mask_bits` is set.
+///
+/// Branch-free: the multiply copies the low mask byte into every byte
+/// lane and the AND keeps only bit `i` in lane `i`. A lane then holds at
+/// most 0x80, so adding 0x7F sets its top bit exactly when it is non-zero
+/// without carrying into the next lane. Shifting the top bits down leaves
+/// 0 or 1 per lane, and the final multiply widens that to a 0x00/0xFF
+/// byte mask.
+#[inline]
 fn zap(v: u64, mask_bits: u64) -> u64 {
-    let mut out = v;
-    for i in 0..8 {
-        if mask_bits & (1 << i) != 0 {
-            out &= !(0xFFu64 << (8 * i));
-        }
-    }
-    out
+    const LANES: u64 = 0x0101_0101_0101_0101;
+    let y = ((mask_bits & 0xFF).wrapping_mul(LANES)) & 0x8040_2010_0804_0201;
+    let z = (y.wrapping_add(0x7F7F_7F7F_7F7F_7F7F) & 0x8080_8080_8080_8080) >> 7;
+    v & !(z * 0xFF)
 }
 
 /// Evaluates an operate function over operand values `av` (the `ra` value)
@@ -59,6 +64,11 @@ fn zap(v: u64, mask_bits: u64) -> u64 {
 /// Conditional moves return `bv` unconditionally here; whether `rc` is
 /// actually written is decided by the executor via
 /// [`OpFn::cmov_taken`](crate::insn::OpFn::cmov_taken).
+///
+/// Always inlined: in the simulator's block loop the operate-function
+/// `match` then shares one dispatch with the instruction `match` instead
+/// of costing a call per operate instruction.
+#[inline(always)]
 pub fn eval(op: OpFn, av: u64, bv: u64) -> u64 {
     match op {
         OpFn::Addl => sext32(av.wrapping_add(bv)),
@@ -125,6 +135,23 @@ pub fn eval(op: OpFn, av: u64, bv: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn zap_matches_bytewise_reference_for_every_mask() {
+        for v in [0x0123_4567_89AB_CDEFu64, u64::MAX] {
+            for mask in 0..256u64 {
+                let mut want = v;
+                for i in 0..8 {
+                    if mask & (1 << i) != 0 {
+                        want &= !(0xFFu64 << (8 * i));
+                    }
+                }
+                // Bits above the mask operand's low byte are ignored.
+                assert_eq!(zap(v, mask | 0xABCD_0000_0000_0000), want, "mask {mask:#x}");
+                assert_eq!(eval(OpFn::Zapnot, v, !mask), want, "mask {mask:#x}");
+            }
+        }
+    }
 
     #[test]
     fn arithmetic_sign_extension() {

@@ -48,6 +48,8 @@ const RULES: &[(&str, &str, Rule)] = &[
     ("mips", "per_insn", Positive),
     ("mips", "baseline", Positive),
     ("mips", "speedup", Positive),
+    // Simulator throughput on the warm canary requests' translated code.
+    ("request_mips", "mips", Positive),
     ("fig1", "trace_secs", Positive),
     ("fig1", "baseline_secs", Positive),
     ("fig1", "speedup", Positive),
@@ -242,6 +244,13 @@ mod tests {
     "per_insn": 30.0,
     "baseline": 28.0,
     "speedup": 2.85
+  },
+  "request_mips": {
+    "requests": 6,
+    "host_insns": 240460,
+    "cycles": 1771974,
+    "secs_run": 0.0023,
+    "mips": 104.5
   },
   "fig1": {
     "trace_secs": 0.05,

@@ -8,7 +8,12 @@
 //!    second) on a representative load/store/ALU kernel, under the
 //!    superblock engine, the current per-instruction engine, and the
 //!    vendored **pre-change baseline** (the seed's engine, frozen in
-//!    `bridge_bench::baseline`);
+//!    `bridge_bench::baseline`), plus the **request-path MIPS**: the six
+//!    canary requests of the benchmark's warm stream (one per
+//!    kernel/strategy pair it sends), each run on a fresh engine over its
+//!    warm shared translation cache, exactly as a warm request runs —
+//!    simulated instructions per second of engine run time, the rate
+//!    requests see, where the MIPS kernel never leaves one block;
 //! 2. **Figure 1 simulation wall-clock**: the exact variant kernels the
 //!    Figure 1 experiment runs, replayed on the trace engine and on the
 //!    baseline engine — the end-to-end speedup this PR's engine work buys.
@@ -60,7 +65,9 @@ use bridge_alpha::PAL_HALT;
 use bridge_bench::baseline;
 use bridge_bench::experiments as exp;
 use bridge_dbt::RunReport;
+use bridge_dbt::{Dbt, DbtConfig, MdaStrategy};
 use bridge_metrics::json;
+use bridge_serve::{ExecService, KernelSpec, RunRequest, ServeConfig};
 use bridge_sim::native::{NativeExit, NativeMachine};
 use bridge_sim::{Exit, Machine};
 use bridge_workloads::kernels::{self, Kernel};
@@ -170,6 +177,96 @@ fn mips_once_baseline(words: &[u32]) -> (u64, u64) {
 /// Instructions-per-microsecond → MIPS.
 fn mips(insns: u64, took: Duration) -> f64 {
     insns as f64 / took.as_secs_f64() / 1e6
+}
+
+/// The benchmark's six warm-stream canaries (`benchmark/src/edge.rs`,
+/// `canaries()`): every kernel once, every strategy at least once.
+fn request_canaries() -> [RunRequest; 6] {
+    let phase = KernelSpec::PhaseChangeSum {
+        aligned: 1000,
+        misaligned: 1000,
+    };
+    [
+        RunRequest::new(
+            KernelSpec::MemcpyUnaligned { len: 8192 },
+            MdaStrategy::ExceptionHandling,
+        ),
+        RunRequest::new(phase, MdaStrategy::Dpeh),
+        RunRequest::new(
+            KernelSpec::PackedStructSum { count: 2000 },
+            MdaStrategy::StaticProfiling,
+        ),
+        RunRequest::new(
+            KernelSpec::LinkedListChase { count: 2000 },
+            MdaStrategy::DynamicProfiling,
+        ),
+        RunRequest::new(
+            KernelSpec::MisalignedStack { iterations: 1000 },
+            MdaStrategy::Direct,
+        ),
+        RunRequest::new(phase, MdaStrategy::DynamicProfiling),
+    ]
+}
+
+/// Request-path simulator throughput over the canaries.
+struct RequestMips {
+    requests: usize,
+    host_insns: u64,
+    cycles: u64,
+    secs_run: f64,
+    mips: f64,
+}
+
+/// Runs every canary once untimed (building kernels, the training
+/// profile and each shared translation cache), then times `Dbt::run` of
+/// each on a fresh engine over its warm cache, the way
+/// `ExecService::run_one` executes a warm request, best of [`REPS`]
+/// passes. Engine set-up is outside the timed interval.
+fn measure_request_mips() -> RequestMips {
+    let svc = ExecService::new(ServeConfig::default());
+    let requests = request_canaries();
+    for &req in &requests {
+        svc.run_one(req);
+    }
+    let pass = || {
+        let (mut run, mut insns, mut cycles) = (Duration::ZERO, 0u64, 0u64);
+        for req in &requests {
+            let kernel = svc.shared_kernel(req.kernel);
+            let mut cfg = DbtConfig::new(req.strategy)
+                .with_threshold(req.hot_threshold)
+                .with_shared_cache(svc.shared_cache_for(req));
+            if req.strategy == MdaStrategy::StaticProfiling {
+                cfg = cfg.with_static_profile(svc.shared_profile(req.kernel));
+            }
+            let mut dbt = Dbt::new(cfg);
+            kernel.load_into(&mut dbt);
+            let start = Instant::now();
+            let report = dbt.run(bridge_serve::FUEL).expect("canary halts");
+            run += start.elapsed();
+            insns += report.stats.insns;
+            cycles += report.stats.cycles;
+        }
+        (run, insns, cycles)
+    };
+    let mut best = Duration::MAX;
+    let mut counts = None;
+    for _ in 0..REPS {
+        let (run, insns, cycles) = pass();
+        best = best.min(run);
+        assert!(
+            counts.is_none_or(|c| c == (insns, cycles)),
+            "canary runs are deterministic"
+        );
+        counts = Some((insns, cycles));
+    }
+    let (host_insns, cycles) = counts.expect("REPS >= 1");
+    RequestMips {
+        requests: requests.len(),
+        host_insns,
+        cycles,
+        secs_run: best.as_secs_f64(),
+        mips: mips(host_insns, best),
+    }
 }
 
 /// All variant kernels the Figure 1 experiment executes at `scale`.
@@ -701,6 +798,18 @@ fn main() {
     println!("  pre-change baseline:      {mips_base:8.1} MIPS");
     println!("  speedup vs baseline:      {mips_speedup:8.2}x\n");
 
+    // 1b. Request-path MIPS: the canaries' translated code, warm.
+    let req_mips = measure_request_mips();
+    println!(
+        "Request path, {} warm canaries ({} host instructions, {} cycles):",
+        req_mips.requests, req_mips.host_insns, req_mips.cycles
+    );
+    println!(
+        "  engine run time:          {:8.2?}",
+        Duration::from_secs_f64(req_mips.secs_run)
+    );
+    println!("  request-path MIPS:        {:8.1}\n", req_mips.mips);
+
     // 2. Figure 1 simulation end-to-end: the experiment's exact variant
     //    kernels on the trace engine vs the pre-change baseline. Identical
     //    cycle totals are asserted, so this compares equivalent work.
@@ -962,6 +1071,13 @@ fn main() {
                     .f64("per_insn", mips_stepper, 2)
                     .f64("baseline", mips_base, 2)
                     .f64("speedup", mips_speedup, 3);
+            })
+            .object("request_mips", |o| {
+                o.u64("requests", req_mips.requests as u64)
+                    .u64("host_insns", req_mips.host_insns)
+                    .u64("cycles", req_mips.cycles)
+                    .f64("secs_run", req_mips.secs_run, 5)
+                    .f64("mips", req_mips.mips, 2);
             })
             .object("fig1", |o| {
                 o.f64("trace_secs", fig1_cur.as_secs_f64(), 4)

@@ -3,11 +3,11 @@
 
 use crate::profile::{Profile, SiteId};
 use bridge_sim::cost::CostModel;
+use bridge_sim::hashing::FxHashMap;
 use bridge_sim::mem::Memory;
 use bridge_x86::decode::{decode, DecodeError, Decoded};
 use bridge_x86::exec::{execute, Next};
 use bridge_x86::state::CpuState;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A decode cache for the interpreter. Guest code only changes through
@@ -19,7 +19,7 @@ use std::fmt;
 /// [`Dbt::write_guest_code`]: crate::engine::Dbt::write_guest_code
 #[derive(Debug, Default)]
 pub struct DecodeCache {
-    map: HashMap<u32, Decoded>,
+    map: FxHashMap<u32, Decoded>,
 }
 
 impl DecodeCache {

@@ -1,7 +1,8 @@
 //! Execution and misalignment profiles (the paper's "Execution Profile" box
 //! in Figures 3 and 4).
 
-use std::collections::{HashMap, HashSet};
+use bridge_sim::hashing::FxHashMap;
+use std::collections::HashSet;
 
 /// Identity of one static memory-access site: the guest instruction address
 /// plus the access slot within it (read-modify-write instructions have a
@@ -45,8 +46,8 @@ impl SiteStats {
 /// heat, and whole-program counters (Table I's columns).
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
-    sites: HashMap<SiteId, SiteStats>,
-    block_heat: HashMap<u32, u64>,
+    sites: FxHashMap<SiteId, SiteStats>,
+    block_heat: FxHashMap<u32, u64>,
     /// Total guest instructions executed (interpreted or translated-block
     /// equivalents when known).
     pub guest_insns: u64,

@@ -319,21 +319,30 @@ impl Registry {
     }
 
     /// The counter named `name`, created at zero on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics on first use of a name [`valid_name`] refuses.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("metrics lock");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        instrument(&self.counters, name)
     }
 
     /// The gauge named `name`, created at zero on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics on first use of a name [`valid_name`] refuses.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("metrics lock");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        instrument(&self.gauges, name)
     }
 
     /// The histogram named `name`, created empty on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics on first use of a name [`valid_name`] refuses.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("metrics lock");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        instrument(&self.histograms, name)
     }
 
     /// Number of registered instruments across all kinds.
@@ -675,6 +684,34 @@ impl HealthSampler {
     }
 }
 
+/// Whether `name` may name an instrument: non-empty printable ASCII
+/// without `"` or `\`. Names are written verbatim as JSON keys of
+/// `bridge-metrics/1` and `bridge-health/1`, so a quote, backslash or
+/// control character would break those documents. Other punctuation is
+/// allowed; the Prometheus exposition sanitizes it (see `sanitize`).
+pub fn valid_name(name: &str) -> bool {
+    !name.is_empty()
+        && name
+            .bytes()
+            .all(|b| (0x20..0x7F).contains(&b) && b != b'"' && b != b'\\')
+}
+
+/// Get-or-create for one instrument kind. The name is checked only when
+/// the instrument is created, so lookups of existing names pay nothing
+/// extra (and allocate nothing).
+fn instrument<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = map.lock().expect("metrics lock");
+    if let Some(existing) = map.get(name) {
+        return Arc::clone(existing);
+    }
+    if !valid_name(name) {
+        // Release the lock first so the registry stays usable.
+        drop(map);
+        panic!("invalid instrument name {name:?}: must be printable ASCII without '\"' or '\\'");
+    }
+    Arc::clone(map.entry(name.to_string()).or_default())
+}
+
 fn sanitize(name: &str) -> String {
     name.chars()
         .map(|c| match c {
@@ -687,6 +724,29 @@ fn sanitize(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn instrument_names_that_break_json_are_refused() {
+        for bad in ["", "a\"b", "a\\b", "line\nbreak", "tab\there", "caf\u{e9}"] {
+            assert!(!valid_name(bad), "{bad:?} must be refused");
+        }
+        for good in [
+            "dbt.traps",
+            "serve.edge.shed_quota",
+            "zero-count",
+            "odd-name.with spaces",
+        ] {
+            assert!(valid_name(good), "{good:?} must pass");
+        }
+        let r = Registry::new();
+        let refused = std::panic::catch_unwind(|| r.counter("redi\"verge"));
+        assert!(refused.is_err(), "a quoted name is refused on registration");
+        // The refusal leaves the registry usable and registers nothing.
+        r.counter("dbt.traps").inc();
+        assert_eq!(r.len(), 1);
+        assert!(std::panic::catch_unwind(|| r.gauge("a\\b")).is_err());
+        assert!(std::panic::catch_unwind(|| r.histogram("\u{1}")).is_err());
+    }
 
     #[test]
     fn counter_accumulates() {

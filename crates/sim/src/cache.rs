@@ -24,6 +24,8 @@ pub struct Cache {
     /// log2(line size)
     line_shift: u32,
     set_mask: u64,
+    /// log2(set count): how far a line number shifts down to its tag.
+    tag_shift: u32,
     ways: usize,
     /// Flat `set_count * ways` tag slots; see struct docs for layout.
     tags: Vec<u64>,
@@ -53,6 +55,7 @@ impl Cache {
         Cache {
             line_shift: line_bytes.trailing_zeros(),
             set_mask: set_count - 1,
+            tag_shift: set_count.trailing_zeros(),
             ways,
             tags: vec![EMPTY; (set_count as usize) * ways],
         }
@@ -79,10 +82,7 @@ impl Cache {
     #[inline]
     fn locate(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
-        )
+        ((line & self.set_mask) as usize, line >> self.tag_shift)
     }
 
     /// Touches `addr`; returns `true` on hit. On miss the line is filled

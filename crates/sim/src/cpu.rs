@@ -6,12 +6,14 @@
 //! The machine has two functionally identical engines:
 //!
 //! * the **superblock engine** (default) decodes straight-line runs of
-//!   instruction words into dense superblocks keyed by entry PC and
-//!   executes them with zero per-instruction map probes, and
+//!   instruction words into superblocks held in a slab, executes each
+//!   block's instructions by index with the executor inlined into the
+//!   loop, and moves from block to block through cached successor links,
+//!   so a block exit costs no map probe once the link is cached, and
 //! * the **per-instruction engine** ([`Machine::run_legacy`], or
 //!   [`Machine::step`]) decodes one word at a time through a
 //!   decoded-instruction map — kept for single-stepping embedders and as
-//!   the baseline the perf harness compares against.
+//!   the differential oracle for the block engine.
 //!
 //! Both engines charge *exactly* the same cycles, cache accesses and
 //! counters per architectural instruction: the superblock cache is a
@@ -21,6 +23,14 @@
 //! per-instruction engine — a patch takes effect on the very next fetch of
 //! the patched address. This is the property the exception-handling MDA
 //! mechanisms rely on (DESIGN.md §"Execution engine").
+//!
+//! # Successor links and generations
+//!
+//! Each superblock remembers its two most recent exits as links
+//! `(next pc, slab slot, generation)`. Invalidating a block frees its slot
+//! and bumps the slot's generation, so a link to the old block no longer
+//! matches and the runner falls back to the entry-PC map; a freed slot can
+//! be reused safely because every older link carries an older generation.
 
 use crate::cache::Cache;
 use crate::cost::CostModel;
@@ -32,7 +42,6 @@ use bridge_alpha::insn::{Insn, MemOp, Rb};
 use bridge_alpha::reg::Reg;
 use bridge_alpha::{decode, op, PAL_EXIT_MONITOR, PAL_HALT, PAL_REQUEST_MONITOR};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Maximum instructions per superblock. Bounds re-decode waste after a
 /// patch and keeps a block within at most two 4 KB pages.
@@ -43,15 +52,42 @@ const SB_MAX_INSNS: usize = 64;
 /// space for finding blocks that overlap a patched word.
 const SB_PAGE_SHIFT: u32 = 12;
 
+/// A cached successor: control left the owning block for `pc`, which is
+/// the entry of the block in slab slot `slot`. Valid only while that
+/// slot's generation still equals `generation`.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    pc: u64,
+    slot: u32,
+    generation: u64,
+}
+
+impl Link {
+    /// An empty link. No block is entered at `u64::MAX` (entries are
+    /// 4-aligned), so it never matches a real PC.
+    const NONE: Link = Link {
+        pc: u64::MAX,
+        slot: 0,
+        generation: 0,
+    };
+}
+
 /// A decoded straight-line run of instructions starting at [`Superblock::entry`].
 ///
 /// Ends at (and includes) the first control-flow instruction, or earlier at
-/// [`SB_MAX_INSNS`] or just before an undecodable word. Immutable once
-/// built; shared by `Arc` so execution never borrows the block cache.
-#[derive(Debug)]
+/// [`SB_MAX_INSNS`] or just before an undecodable word. The instructions
+/// are immutable once built; only the successor links change.
+#[derive(Debug, Clone)]
 struct Superblock {
     entry: u64,
-    insns: Vec<Insn>,
+    insns: Box<[Insn]>,
+    /// The two most recently taken exits, most recent first. A
+    /// conditional branch has two successors, so both stay cached.
+    succ: [Link; 2],
+    /// Bumped each time this slot is freed, so every link that named the
+    /// slot's previous occupant goes stale at once. 64 bits, so it never
+    /// wraps back to a value an old link still carries.
+    generation: u64,
 }
 
 impl Superblock {
@@ -60,13 +96,27 @@ impl Superblock {
     fn end(&self) -> u64 {
         self.entry + 4 * self.insns.len() as u64
     }
+
+    /// Empties a freed slot: drops the instructions and links and bumps
+    /// the generation, which stales every link that names the slot.
+    fn retire(&mut self) {
+        self.entry = u64::MAX;
+        self.insns = Box::default();
+        self.succ = [Link::NONE; 2];
+        self.generation += 1;
+    }
 }
 
-/// Superblock cache plus the page-granular index used to invalidate
-/// precisely on code patches.
+/// Superblock cache: a slab of blocks, a map from entry PC to slab slot,
+/// and the page-granular index used to invalidate precisely on code
+/// patches.
 #[derive(Debug, Clone, Default)]
 struct SbCache {
-    blocks: FxHashMap<u64, Arc<Superblock>>,
+    slab: Vec<Superblock>,
+    /// Entry PC → slab slot of the live block entered there.
+    blocks: FxHashMap<u64, u32>,
+    /// Freed slab slots, reused before the slab grows.
+    free: Vec<u32>,
     /// Page index → entry PCs of blocks overlapping that page. Entries may
     /// be stale (block already removed); they are dropped lazily on the
     /// next scan of the page.
@@ -75,8 +125,61 @@ struct SbCache {
 
 impl SbCache {
     fn clear(&mut self) {
+        // Emptying the slab drops every link with the blocks that held
+        // them; no link survives to name a reused slot.
+        self.slab.clear();
         self.blocks.clear();
+        self.free.clear();
         self.by_page.clear();
+    }
+
+    /// The slot a cached successor of `slot` names for `pc`, if that
+    /// link is still current.
+    #[inline]
+    fn successor(&self, slot: usize, pc: u64) -> Option<usize> {
+        let link = self.slab[slot].succ.iter().find(|l| l.pc == pc)?;
+        let target = link.slot as usize;
+        (self.slab[target].generation == link.generation).then_some(target)
+    }
+
+    /// Caches `to` as the most recent successor of `from`.
+    fn link(&mut self, from: usize, to: usize) {
+        let link = Link {
+            pc: self.slab[to].entry,
+            slot: to as u32,
+            generation: self.slab[to].generation,
+        };
+        let succ = &mut self.slab[from].succ;
+        succ[1] = succ[0];
+        succ[0] = link;
+    }
+
+    /// Stores a new block in a free slot (or a new one) and indexes it.
+    fn insert(&mut self, entry: u64, insns: Box<[Insn]>) -> usize {
+        let slot = match self.free.pop() {
+            // A retired slot keeps its bumped generation and has no links.
+            Some(slot) => {
+                let s = &mut self.slab[slot as usize];
+                s.entry = entry;
+                s.insns = insns;
+                slot as usize
+            }
+            None => {
+                self.slab.push(Superblock {
+                    entry,
+                    insns,
+                    succ: [Link::NONE; 2],
+                    generation: 0,
+                });
+                self.slab.len() - 1
+            }
+        };
+        let end = self.slab[slot].end();
+        for page in (entry >> SB_PAGE_SHIFT)..=((end - 1) >> SB_PAGE_SHIFT) {
+            self.by_page.entry(page).or_default().push(entry);
+        }
+        self.blocks.insert(entry, slot as u32);
+        slot
     }
 }
 
@@ -258,12 +361,20 @@ impl Machine {
     /// the EH mechanisms overwrite live translated code and the next fetch
     /// of the patched address must see the new word.
     fn invalidate_superblocks_at(&mut self, addr: u64) {
-        let SbCache { blocks, by_page } = &mut self.sb;
+        let SbCache {
+            slab,
+            blocks,
+            free,
+            by_page,
+        } = &mut self.sb;
         if let Some(entries) = by_page.get_mut(&(addr >> SB_PAGE_SHIFT)) {
             entries.retain(|&entry| match blocks.get(&entry) {
-                Some(b) => {
+                Some(&slot) => {
+                    let b = &mut slab[slot as usize];
                     if addr >= b.entry && addr < b.end() {
                         blocks.remove(&entry);
+                        b.retire();
+                        free.push(slot);
                         // The entry may linger in the *other* page's list
                         // when the block straddled a boundary; that copy is
                         // dropped lazily on that page's next scan.
@@ -382,8 +493,10 @@ impl Machine {
 
     /// Executes one already-decoded instruction at `pc`. Shared by both
     /// engines; charges data-side costs and updates the PC exactly as the
-    /// original per-instruction interpreter did.
-    #[inline]
+    /// original per-instruction interpreter did. Inlined into both loops:
+    /// a call per instruction (and the large `Option<Exit>` return) would
+    /// cost about as much as a short instruction itself.
+    #[inline(always)]
     fn exec_insn(&mut self, pc: u64, insn: Insn) -> Option<Exit> {
         match insn {
             Insn::Mem { op, ra, rb, disp } => {
@@ -527,7 +640,10 @@ impl Machine {
         // shared L2. We can therefore skip the cache-model walk entirely —
         // byte-identical accounting to [`Machine::fetch_cost`], at a
         // fraction of the cost.
-        let line_shift = self.icache.as_ref().map(Cache::line_shift);
+        //
+        // Without an I-cache `fetch_walk` charges nothing, so any shift
+        // will do; 63 makes every code address one "line".
+        let line_shift = self.icache.as_ref().map_or(63, Cache::line_shift);
         let mut last_line = u64::MAX; // conservatively cold at entry
 
         // Per-instruction `insns`/`insn_base`/`icache_accesses` accounting
@@ -544,67 +660,76 @@ impl Machine {
                 return $e;
             }};
         }
-        loop {
-            let entry = self.pc;
-            let block = match self.sb.blocks.get(&entry) {
-                Some(b) => Arc::clone(b),
-                None => match self.decode_superblock(entry) {
-                    Some(b) => b,
-                    None => {
-                        // Undecodable word at the entry itself. Charge the
-                        // fetch exactly as the per-instruction engine does
-                        // before reporting the fault.
-                        if fuel == 0 {
-                            exit_with!(Exit::Fault(MachineFault::OutOfFuel));
+        // The block for `self.pc`: from the map, or freshly decoded. An
+        // undecodable word at the entry itself is charged as a fetch,
+        // exactly as the per-instruction engine does, before the fault.
+        macro_rules! find_block {
+            () => {{
+                let entry = self.pc;
+                match self.sb.blocks.get(&entry) {
+                    Some(&slot) => slot as usize,
+                    None => match self.decode_superblock(entry) {
+                        Some(slot) => slot,
+                        None => {
+                            if fuel == 0 {
+                                exit_with!(Exit::Fault(MachineFault::OutOfFuel));
+                            }
+                            executed += 1;
+                            self.fetch_walk(entry);
+                            let word = self.mem.read_u32_aligned(entry);
+                            exit_with!(Exit::Fault(MachineFault::IllegalInstruction {
+                                pc: entry,
+                                word
+                            }));
                         }
-                        executed += 1;
-                        self.fetch_walk(entry);
-                        let word = self.mem.read_u32_aligned(entry);
-                        exit_with!(Exit::Fault(MachineFault::IllegalInstruction {
-                            pc: entry,
-                            word
-                        }));
-                    }
-                },
-            };
-            // Re-enter the same block without a map probe while control
-            // keeps returning to its entry — the common case for tight
-            // loops, which dominate the experiment kernels. Code patches
-            // cannot happen mid-run, so the cached `Arc` cannot go stale.
-            loop {
-                // Only the final instruction of a block can transfer
-                // control, so `self.pc` walks `entry, entry+4, …` while the
-                // block runs and the loop needs no per-instruction dispatch.
-                for &insn in &block.insns {
-                    if fuel == 0 {
-                        exit_with!(Exit::Fault(MachineFault::OutOfFuel));
-                    }
-                    fuel -= 1;
-                    executed += 1;
-                    let pc = self.pc;
-                    match line_shift {
-                        Some(shift) if pc >> shift == last_line => {}
-                        Some(shift) => {
-                            last_line = pc >> shift;
-                            self.fetch_walk(pc);
-                        }
-                        None => {}
-                    }
-                    if let Some(exit) = self.exec_insn(pc, insn) {
-                        exit_with!(exit);
-                    }
+                    },
                 }
-                if self.pc != entry {
-                    break;
+            }};
+        }
+        let mut cur = find_block!();
+        loop {
+            // Only the final instruction of a block can transfer control,
+            // so `self.pc` walks `entry, entry+4, …` while the block runs
+            // and the loop needs no per-instruction dispatch. Fuel is
+            // charged per block: run at most `fuel` instructions of it,
+            // then stop exactly where the fuel ran out.
+            let len = self.sb.slab[cur].insns.len();
+            let n = len.min(usize::try_from(fuel).unwrap_or(usize::MAX));
+            for i in 0..n {
+                executed += 1;
+                let pc = self.pc;
+                if pc >> line_shift != last_line {
+                    last_line = pc >> line_shift;
+                    self.fetch_walk(pc);
+                }
+                let insn = self.sb.slab[cur].insns[i];
+                if let Some(exit) = self.exec_insn(pc, insn) {
+                    exit_with!(exit);
                 }
             }
+            fuel -= n as u64;
+            if n < len {
+                exit_with!(Exit::Fault(MachineFault::OutOfFuel));
+            }
+            // Follow a cached successor link when it is still current;
+            // otherwise find the next block and cache it as a successor.
+            // Code patches cannot happen mid-run, so no link goes stale
+            // inside this loop.
+            cur = match self.sb.successor(cur, self.pc) {
+                Some(next) => next,
+                None => {
+                    let next = find_block!();
+                    self.sb.link(cur, next);
+                    next
+                }
+            };
         }
     }
 
     /// Decodes the straight-line run starting at `entry` into a cached
-    /// superblock. Returns `None` (and caches nothing) if the entry word
-    /// itself does not decode.
-    fn decode_superblock(&mut self, entry: u64) -> Option<Arc<Superblock>> {
+    /// superblock and returns its slab slot. Returns `None` (and caches
+    /// nothing) if the entry word itself does not decode.
+    fn decode_superblock(&mut self, entry: u64) -> Option<usize> {
         let mut insns = Vec::new();
         let mut pc = entry;
         loop {
@@ -628,12 +753,7 @@ impl Machine {
         if insns.is_empty() {
             return None;
         }
-        let block = Arc::new(Superblock { entry, insns });
-        for page in (block.entry >> SB_PAGE_SHIFT)..=((block.end() - 1) >> SB_PAGE_SHIFT) {
-            self.sb.by_page.entry(page).or_default().push(entry);
-        }
-        self.sb.blocks.insert(entry, Arc::clone(&block));
-        Some(block)
+        Some(self.sb.insert(entry, insns.into_boxed_slice()))
     }
 }
 

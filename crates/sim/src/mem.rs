@@ -426,17 +426,37 @@ impl Memory {
         }
     }
 
-    /// Copies bytes out of memory.
+    /// Copies bytes out of memory, one page at a time; unmapped bytes
+    /// read as zero. Addresses wrap at `u64::MAX` like the byte accessors.
     pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) {
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.read_u8(addr.wrapping_add(i as u64));
+        let mut addr = addr;
+        let mut rest = buf;
+        while !rest.is_empty() {
+            let off = (addr & PAGE_MASK) as usize;
+            let (chunk, tail) = rest.split_at_mut(rest.len().min(PAGE_SIZE - off));
+            match self.page(addr >> PAGE_SHIFT) {
+                Some(page) => chunk.copy_from_slice(&page[off..off + chunk.len()]),
+                None => chunk.fill(0),
+            }
+            addr = addr.wrapping_add(chunk.len() as u64);
+            rest = tail;
         }
     }
 
-    /// Copies bytes into memory.
+    /// Copies bytes into memory, one page at a time, mapping pages as
+    /// needed.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), b);
+        let mut addr = addr;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let off = (addr & PAGE_MASK) as usize;
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE - off));
+            let p = self.cached_page_mut(addr >> PAGE_SHIFT);
+            // SAFETY: see `write_u8`.
+            let page = unsafe { &mut *p };
+            page[off..off + chunk.len()].copy_from_slice(chunk);
+            addr = addr.wrapping_add(chunk.len() as u64);
+            rest = tail;
         }
     }
 
@@ -683,6 +703,34 @@ mod tests {
         let mut buf = [0u8; 5];
         m.read_bytes(0x500, &mut buf);
         assert_eq!(buf, [1, 2, 3, 4, 5]);
+    }
+
+    /// Page-chunked copies agree with byte-at-a-time access across page
+    /// boundaries, over unmapped pages and across the top of the address
+    /// space.
+    #[test]
+    fn bulk_copies_match_bytewise_access() {
+        let data: Vec<u8> = (0..3 * PAGE_SIZE + 17).map(|i| (i * 7 + 1) as u8).collect();
+        for start in [0x1_0000 - 5, 0x2_0FFF, u64::MAX - 40] {
+            let mut m = Memory::new();
+            m.write_bytes(start, &data);
+            for (i, &b) in data.iter().enumerate() {
+                assert_eq!(m.read_u8(start.wrapping_add(i as u64)), b);
+            }
+            let mut back = vec![0xEEu8; data.len()];
+            m.read_bytes(start, &mut back);
+            assert_eq!(back, data);
+        }
+        // A read spanning mapped and unmapped pages zero-fills the gap.
+        let mut m = Memory::new();
+        m.write_u8(0x4FFF, 9);
+        m.write_u8(0x6000, 8);
+        let mut buf = vec![0xEEu8; PAGE_SIZE + 2];
+        m.read_bytes(0x4FFF, &mut buf);
+        assert_eq!(buf[0], 9);
+        assert!(buf[1..=PAGE_SIZE].iter().all(|&b| b == 0));
+        assert_eq!(buf[PAGE_SIZE + 1], 8);
+        assert_eq!(m.mapped_pages(), 2, "reads never map pages");
     }
 
     #[test]
